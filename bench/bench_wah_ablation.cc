@@ -20,8 +20,9 @@
 #include <cstdio>
 #include <cstring>
 #include <random>
-#include <utility>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.h"
@@ -119,29 +120,67 @@ double MeasureDenseAndCount(const Bitvector& a, const Bitvector& b, int reps) {
 // Average microseconds per query for a fixed predicate sweep over `source`
 // under one engine (kPlain over a WahCompressedSource is exactly the
 // paper's decompress-then-op model: every Fetch inflates).
+// The 9-query sweep every end-to-end measurement runs: {<=, =, >} x
+// {C/10, C/2, C-1}.
+std::vector<std::pair<CompareOp, int64_t>> SweepQueries(uint32_t cardinality) {
+  std::vector<std::pair<CompareOp, int64_t>> queries;
+  for (CompareOp op : {CompareOp::kLe, CompareOp::kEq, CompareOp::kGt}) {
+    for (int64_t v : {static_cast<int64_t>(cardinality) / 10,
+                      static_cast<int64_t>(cardinality) / 2,
+                      static_cast<int64_t>(cardinality) - 1}) {
+      queries.emplace_back(op, v);
+    }
+  }
+  return queries;
+}
+
 double MeasureEngine(const BitmapSource& source, EngineKind engine,
                      uint32_t cardinality, int reps, size_t* checksum) {
   const ExecOptions options{.num_threads = 1, .engine = engine};
-  const CompareOp ops[] = {CompareOp::kLe, CompareOp::kEq, CompareOp::kGt};
-  const int64_t values[] = {static_cast<int64_t>(cardinality) / 10,
-                            static_cast<int64_t>(cardinality) / 2,
-                            static_cast<int64_t>(cardinality) - 1};
+  const std::vector<std::pair<CompareOp, int64_t>> sweep =
+      SweepQueries(cardinality);
   int queries = 0;
   auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < reps; ++r) {
-    for (CompareOp op : ops) {
-      for (int64_t v : values) {
-        Bitvector found =
-            EvaluatePredicate(source, EvalAlgorithm::kAuto, op, v, options);
-        *checksum += found.Count();
-        ++queries;
-      }
+    for (const auto& [op, v] : sweep) {
+      Bitvector found =
+          EvaluatePredicate(source, EvalAlgorithm::kAuto, op, v, options);
+      *checksum += found.Count();
+      ++queries;
     }
   }
   double s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            start)
                  .count();
   return 1e6 * s / queries;
+}
+
+// Mean over the sweep of the fastest of `reps` RemapToLogical calls on each
+// query's foundset (evaluated over the index built in `perm`'s physical
+// order).  Each remapped foundset must equal `logical_found`, the same
+// query over the index built in logical order; returns -1 if one differs.
+double MeasureRemap(const BitmapSource& source,
+                    std::span<const uint32_t> perm, uint32_t cardinality,
+                    int reps, const std::vector<Bitvector>& logical_found) {
+  const std::vector<std::pair<CompareOp, int64_t>> sweep =
+      SweepQueries(cardinality);
+  double total_us = 0;
+  for (size_t q = 0; q < sweep.size(); ++q) {
+    const Bitvector physical = EvaluatePredicate(
+        source, EvalAlgorithm::kAuto, sweep[q].first, sweep[q].second);
+    double best_us = 0;
+    for (int r = 0; r < reps; ++r) {
+      const auto start = std::chrono::steady_clock::now();
+      const Bitvector logical = RemapToLogical(physical, perm);
+      const double us = std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      if (!(logical == logical_found[q])) return -1;
+      best_us = r == 0 ? us : std::min(best_us, us);
+    }
+    total_us += best_us;
+  }
+  return total_us / static_cast<double>(sweep.size());
 }
 
 // Relations whose bitmap densities sweep the WAH win/lose spectrum.
@@ -354,13 +393,15 @@ int main(int argc, char** argv) {
   // smaller operands pull the auto engine's per-operand choice — and its
   // measured break-even (wah_engine.calibrated_ratio) — toward compressed
   // execution.  Foundset checksums are order-invariant, so all three arms
-  // must agree bit-for-bit on every query's count.
+  // must agree bit-for-bit on every query's count; remap_us times the
+  // sorted arms' crossing back to logical row ids (RemapToLogical), whose
+  // output must equal the shuffled arm's foundset.
   const size_t sort_rows = smoke ? 100000 : 1000000;
   std::printf("\nrow reordering: shuffled vs sorted builds, %zu rows, "
               "equality encoding, auto engine\n\n", sort_rows);
-  std::printf("%-22s %-9s | %10s %7s | %10s %10s | %10s %9s\n", "relation",
-              "order", "wah KB", "ratio", "comp ops", "plain ops",
-              "auto us/q", "cal ratio");
+  std::printf("%-22s %-9s | %10s %7s | %10s %10s | %10s %9s | %10s\n",
+              "relation", "order", "wah KB", "ratio", "comp ops",
+              "plain ops", "auto us/q", "cal ratio", "remap us/q");
 
   struct SortLane {
     const char* name;
@@ -392,13 +433,11 @@ int main(int argc, char** argv) {
                              {"lex", RowOrder::kLex},
                              {"gray", RowOrder::kGray}};
     size_t shuffled_bytes = 0, shuffled_checksum = 0;
+    std::vector<Bitvector> shuffled_found;  // the sweep in logical order
     for (const OrderArm& arm : arms) {
-      std::vector<uint32_t> column = shuffled;
-      if (arm.order != RowOrder::kNone) {
-        column = ApplyPermutation(
-            shuffled,
-            ComputeRowOrder(shuffled, lane.cardinality, base, arm.order));
-      }
+      const std::vector<uint32_t> perm =
+          ComputeRowOrder(shuffled, lane.cardinality, base, arm.order);
+      const std::vector<uint32_t> column = ApplyPermutation(shuffled, perm);
       BitmapIndex index = BitmapIndex::Build(column, lane.cardinality, base,
                                              Encoding::kEquality);
       size_t wah_bytes = 0;
@@ -424,20 +463,35 @@ int main(int argc, char** argv) {
       const int64_t compressed_ops = comp_ops_counter.value() - comp0;
       const int64_t plain_ops = plain_ops_counter.value() - plain0;
       const int64_t calibrated = calibrated_gauge.value();
+      // The physical -> logical crossing a sorted index pays per query.
+      double remap_us = 0;
       if (arm.order == RowOrder::kNone) {
         shuffled_checksum = checksum;
+        for (const auto& [op, v] : SweepQueries(lane.cardinality)) {
+          shuffled_found.push_back(
+              EvaluatePredicate(index, EvalAlgorithm::kAuto, op, v));
+        }
       } else if (checksum != shuffled_checksum) {
         std::printf("FAIL: sorted foundset counts diverge on %s %s\n",
                     lane.name, arm.name);
         return 1;
+      } else {
+        // Each call takes microseconds: many reps keep the minimum steady.
+        remap_us = MeasureRemap(index, perm, lane.cardinality,
+                                /*reps=*/50, shuffled_found);
+        if (remap_us < 0) {
+          std::printf("FAIL: remapped foundsets diverge on %s %s\n",
+                      lane.name, arm.name);
+          return 1;
+        }
       }
       std::printf("%-22s %-9s | %10.1f %6.2fx | %10lld %10lld | %10.1f "
-                  "%9lld\n",
+                  "%9lld | %10.1f\n",
                   lane.name, arm.name,
                   static_cast<double>(wah_bytes) / 1024, ratio,
                   static_cast<long long>(compressed_ops),
                   static_cast<long long>(plain_ops), auto_us,
-                  static_cast<long long>(calibrated));
+                  static_cast<long long>(calibrated), remap_us);
       const std::vector<bench::BenchParam> params = {
           {"relation", lane.name},
           {"order", arm.name},
@@ -453,6 +507,9 @@ int main(int argc, char** argv) {
                static_cast<double>(plain_ops), "count");
       json.Add("wah_ablation_roworder", params, "calibrated_ratio",
                static_cast<double>(calibrated), "permille");
+      if (arm.order != RowOrder::kNone) {
+        json.Add("wah_ablation_roworder", params, "remap_us", remap_us, "us");
+      }
     }
   }
 

@@ -58,8 +58,16 @@ void Bitvector::NotInPlace() {
 }
 
 size_t Bitvector::Count() const {
+  // SWAR popcount: on the baseline x86-64 target (no POPCNT) std::popcount
+  // is an out-of-line libgcc call per word, about 3x slower over a
+  // 10M-bit vector.
   size_t count = 0;
-  for (uint64_t w : words_) count += static_cast<size_t>(std::popcount(w));
+  for (uint64_t x : words_) {
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    count += static_cast<size_t>((x * 0x0101010101010101ULL) >> 56);
+  }
   return count;
 }
 

@@ -37,6 +37,13 @@ class BitmapIndex final : public BitmapSource {
   BitmapIndex(const BitmapIndex&) = delete;
   BitmapIndex& operator=(const BitmapIndex&) = delete;
 
+  /// A deep copy.  Copying is explicit so that no bitmap set is duplicated
+  /// by accident; the mutation layer clones a snapshot's delta index to
+  /// extend it copy-on-write.
+  BitmapIndex Clone() const {
+    return BitmapIndex(cardinality_, base_, encoding_, components_, non_null_);
+  }
+
   // BitmapSource:
   const BaseSequence& base() const override { return base_; }
   Encoding encoding() const override { return encoding_; }

@@ -1,6 +1,7 @@
 #include "core/row_order.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
 
@@ -198,23 +199,104 @@ std::vector<uint32_t> ApplyPermutation(std::span<const uint32_t> values,
   return permuted;
 }
 
+namespace {
+
+/// Sets out[perm[64w + i]] for every bit i of `bits`, where `perm_word`
+/// points at perm[64w].  A full word — the common case inside a sorted
+/// value run — takes a straight-line unrolled scatter with no bit
+/// iteration.
+inline void ScatterWord(uint64_t bits, const uint32_t* perm_word,
+                        uint64_t* out) {
+  if (bits == ~uint64_t{0}) {
+#pragma GCC unroll 16
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t l = perm_word[i];
+      out[l >> 6] |= uint64_t{1} << (l & 63);
+    }
+    return;
+  }
+  while (bits != 0) {
+    const uint32_t l = perm_word[std::countr_zero(bits)];
+    out[l >> 6] |= uint64_t{1} << (l & 63);
+    bits &= bits - 1;
+  }
+}
+
+}  // namespace
+
 Bitvector RemapToLogical(const Bitvector& physical,
                          std::span<const uint32_t> perm) {
   if (perm.empty()) return physical;
-  Bitvector logical = Bitvector::Zeros(physical.size());
-  physical.ForEachSetBit([&](size_t p) {
-    logical.Set(p < perm.size() ? perm[p] : p);
-  });
+  const size_t n = physical.size();
+  const size_t m = perm.size();
+  BIX_CHECK(n >= m);
+  // perm, identity-extended over [m, n), is a bijection on [0, n): the
+  // clear bits land exactly where the set bits do not.  Scatter whichever
+  // side is smaller and complement at the end when it was the clear one,
+  // so the work is min(popcount, n - popcount) scattered bits.
+  const bool complement = physical.Count() > n / 2;
+  const uint64_t flip = complement ? ~uint64_t{0} : 0;
+  Bitvector logical = Bitvector::Zeros(n);
+  const std::span<const uint64_t> in = physical.words();
+  uint64_t* out = logical.mutable_words().data();
+  const size_t full = m / 64;  // words wholly inside perm
+  for (size_t w = 0; w < full; ++w) {
+    const uint64_t bits = in[w] ^ flip;
+    if (bits != 0) ScatterWord(bits, perm.data() + 64 * w, out);
+  }
+  // The word straddling perm's end, then the identity-mapped append tail.
+  for (size_t w = full; w < in.size(); ++w) {
+    uint64_t bits = in[w] ^ flip;
+    if (64 * w >= m) {
+      out[w] |= bits;
+      continue;
+    }
+    while (bits != 0) {
+      const size_t p = 64 * w + static_cast<size_t>(std::countr_zero(bits));
+      const size_t l = p < m ? perm[p] : p;
+      out[l >> 6] |= uint64_t{1} << (l & 63);
+      bits &= bits - 1;
+    }
+  }
+  // Flipped padding bits past n mapped to themselves above; NotInPlace
+  // clears them again along with the rest of the tail.
+  if (complement) logical.NotInPlace();
   return logical;
 }
 
 Bitvector RemapToPhysical(const Bitvector& logical,
                           std::span<const uint32_t> perm) {
   if (perm.empty()) return logical;
-  Bitvector physical = Bitvector::Zeros(logical.size());
-  for (size_t p = 0; p < physical.size(); ++p) {
-    const size_t l = p < perm.size() ? perm[p] : p;
-    if (logical.Get(l)) physical.Set(p);
+  const size_t n = logical.size();
+  const size_t m = perm.size();
+  BIX_CHECK(n >= m);
+  Bitvector physical = Bitvector::Zeros(n);
+  const uint64_t* in = logical.words().data();
+  const std::span<uint64_t> out = physical.mutable_words();
+  // Gather: each output word is assembled in a register from 64 lookups.
+  const size_t full = m / 64;
+  for (size_t w = 0; w < full; ++w) {
+    const uint32_t* perm_word = perm.data() + 64 * w;
+    uint64_t word = 0;
+#pragma GCC unroll 16
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t l = perm_word[i];
+      word |= ((in[l >> 6] >> (l & 63)) & 1) << i;
+    }
+    out[w] = word;
+  }
+  for (size_t w = full; w < out.size(); ++w) {
+    if (64 * w >= m) {
+      out[w] = in[w];  // identity tail; padding is already clear
+      continue;
+    }
+    uint64_t word = 0;
+    const size_t end = std::min(n, 64 * w + 64);
+    for (size_t p = 64 * w; p < end; ++p) {
+      const size_t l = p < m ? perm[p] : p;
+      word |= ((in[l >> 6] >> (l & 63)) & 1) << (p - 64 * w);
+    }
+    out[w] = word;
   }
   return physical;
 }

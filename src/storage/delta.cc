@@ -447,7 +447,7 @@ MutableStoredIndex::GenerationHolder::~GenerationHolder() {
 
 std::shared_ptr<const MutableStoredIndex::DeltaState>
 MutableStoredIndex::MakeState(std::shared_ptr<const StoredIndex> base,
-                              std::vector<uint32_t> delta_values,
+                              std::span<const uint32_t> delta_values,
                               Bitvector tombstones) {
   auto state = std::make_shared<DeltaState>();
   state->base = std::move(base);
@@ -458,7 +458,6 @@ MutableStoredIndex::MakeState(std::shared_ptr<const StoredIndex> base,
         BitmapIndex::Build(delta_values, state->base->cardinality(),
                            state->base->base(), state->base->encoding()));
   }
-  state->delta_values = std::move(delta_values);
   return state;
 }
 
@@ -543,7 +542,7 @@ Status MutableStoredIndex::Open(const std::filesystem::path& dir,
   }
   tombstones.Resize(total);
 
-  m->state_ = MakeState(std::move(shared_base), std::move(delta),
+  m->state_ = MakeState(std::move(shared_base), delta,
                         std::move(tombstones));
   *out = std::move(m);
   return Status::OK();
@@ -570,7 +569,7 @@ uint32_t MutableStoredIndex::generation() const {
 size_t MutableStoredIndex::num_records() const { return state()->total(); }
 
 size_t MutableStoredIndex::num_delta_rows() const {
-  return state()->delta_values.size();
+  return state()->num_delta();
 }
 
 size_t MutableStoredIndex::num_tombstones() const {
@@ -631,11 +630,24 @@ Status MutableStoredIndex::Append(std::span<const uint32_t> values) {
   AppendsCounter().Increment();
   WalBytesCounter().Increment(static_cast<int64_t>(record.size()));
 
-  std::vector<uint32_t> delta = cur->delta_values;
-  delta.insert(delta.end(), values.begin(), values.end());
-  Bitvector tombstones = cur->tombstones;
-  tombstones.Resize(cur->total() + values.size());
-  state_ = MakeState(cur->base, std::move(delta), std::move(tombstones));
+  // Copy-on-write successor: in-flight queries keep `cur`, so the delta
+  // index is cloned and extended by this batch alone.
+  auto next = std::make_shared<DeltaState>();
+  next->base = cur->base;
+  next->tombstones = cur->tombstones;
+  next->tombstones.Resize(cur->total() + values.size());
+  next->num_tombstones = cur->num_tombstones;
+  if (cur->delta_index == nullptr) {
+    next->delta_index = std::make_shared<const BitmapIndex>(
+        BitmapIndex::Build(values, cur->base->cardinality(),
+                           cur->base->base(), cur->base->encoding()));
+  } else {
+    BitmapIndex delta = cur->delta_index->Clone();
+    delta.Reserve(cur->num_delta() + values.size());
+    for (uint32_t v : values) delta.Append(v);
+    next->delta_index = std::make_shared<const BitmapIndex>(std::move(delta));
+  }
+  state_ = std::move(next);
   return Status::OK();
 }
 
@@ -654,13 +666,17 @@ Status MutableStoredIndex::Delete(std::span<const uint32_t> rows) {
   }
   // Tombstones live in physical (bitmap) space; the caller's row ids are
   // logical.  Over a sorted base the two differ for base rows (appended
-  // tail rows are identity either way).
-  const std::vector<uint32_t>& perm = cur->base->row_order();
-  std::vector<uint32_t> inverse;
-  if (!perm.empty()) inverse = InvertPermutation(perm);
+  // tail rows are identity either way); the base generation inverts its
+  // permutation once, on the first delete, and keeps the inverse.
+  const std::vector<uint32_t>& inverse = cur->base->inverse_row_order();
   Bitvector tombstones = cur->tombstones;
+  size_t newly_deleted = 0;
   for (uint32_t r : rows) {
-    tombstones.Set(r < inverse.size() ? inverse[r] : r);
+    const size_t p = r < inverse.size() ? inverse[r] : r;
+    if (!tombstones.Get(p)) {
+      tombstones.Set(p);
+      ++newly_deleted;
+    }
   }
   // Whole-bitmap atomic replace: after a crash the tombstone file is the
   // pre- or post-delete bitmap, never a mix.
@@ -674,7 +690,13 @@ Status MutableStoredIndex::Delete(std::span<const uint32_t> rows) {
     return s;
   }
   DeletesCounter().Increment();
-  state_ = MakeState(cur->base, cur->delta_values, std::move(tombstones));
+  // Deletes never touch delta values: the successor shares the delta index.
+  auto next = std::make_shared<DeltaState>();
+  next->base = cur->base;
+  next->tombstones = std::move(tombstones);
+  next->delta_index = cur->delta_index;
+  next->num_tombstones = cur->num_tombstones + newly_deleted;
+  state_ = std::move(next);
   return Status::OK();
 }
 

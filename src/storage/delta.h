@@ -184,20 +184,25 @@ class MutableStoredIndex {
  private:
   /// Immutable snapshot of the logical index state.  Mutations build a
   /// new one and swap; queries pin the one they started with.
+  ///
+  /// Successive snapshots share what a mutation leaves alone: a delete
+  /// keeps the delta_index pointer, an append extends a clone of it by the
+  /// new batch only, and num_tombstones moves by the newly set bits — so
+  /// neither costs more as rows pile up between compactions.
   struct DeltaState {
     std::shared_ptr<const StoredIndex> base;
-    std::vector<uint32_t> delta_values;
-    /// base->num_records() + delta_values.size() bits; set = deleted.
+    /// base->num_records() + num_delta() bits; set = deleted.
     Bitvector tombstones;
-    /// Index over delta_values (same base sequence / encoding as the
-    /// stored index); null when no rows are pending.
+    /// Index over the pending appended values (same base sequence /
+    /// encoding as the stored index); null when no rows are pending.
     std::shared_ptr<const BitmapIndex> delta_index;
     size_t num_tombstones = 0;
 
-    size_t total() const { return base->num_records() + delta_values.size(); }
-    bool has_pending() const {
-      return !delta_values.empty() || num_tombstones > 0;
+    size_t num_delta() const {
+      return delta_index == nullptr ? 0 : delta_index->num_records();
     }
+    size_t total() const { return base->num_records() + num_delta(); }
+    bool has_pending() const { return num_delta() > 0 || num_tombstones > 0; }
   };
 
   /// Owns one generation's base StoredIndex plus a cleanup hook that runs
@@ -216,6 +221,7 @@ class MutableStoredIndex {
   };
 
   friend class DeltaQuerySource;
+  friend struct MutableStoredIndexTestPeer;  // tests: snapshot internals
 
   MutableStoredIndex() = default;
 
@@ -230,10 +236,12 @@ class MutableStoredIndex {
       std::shared_ptr<const DeltaState> snapshot, EvalStats* stats,
       double* decompress_seconds);
 
-  /// Builds the successor snapshot for the current delta + tombstones.
+  /// Builds a snapshot from scratch for the pending `delta_values` and
+  /// `tombstones` (open and compaction; Append and Delete derive theirs
+  /// incrementally from the current snapshot).
   static std::shared_ptr<const DeltaState> MakeState(
       std::shared_ptr<const StoredIndex> base,
-      std::vector<uint32_t> delta_values, Bitvector tombstones);
+      std::span<const uint32_t> delta_values, Bitvector tombstones);
 
   /// Opens (or creates, writing the header) the append-log write handle.
   Status EnsureLogOpen();

@@ -749,6 +749,15 @@ Status StoredIndex::LoadMeta(const std::filesystem::path& dir) {
   return Status::OK();
 }
 
+const std::vector<uint32_t>& StoredIndex::inverse_row_order() const {
+  std::call_once(inverse_once_, [this] {
+    if (!row_order_.empty()) {
+      inverse_row_order_ = InvertPermutation(row_order_);
+    }
+  });
+  return inverse_row_order_;
+}
+
 Bitvector StoredIndex::Evaluate(EvalAlgorithm algorithm, CompareOp op,
                                 int64_t v, EvalStats* stats,
                                 double* decompress_seconds,

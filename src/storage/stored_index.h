@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -162,6 +163,13 @@ class StoredIndex {
   const std::vector<uint32_t>& row_order() const { return row_order_; }
   RowOrder row_order_kind() const { return row_order_kind_; }
 
+  /// InvertPermutation(row_order()) (inverse[logical] = physical), built
+  /// on the first call and kept for the life of this handle — one
+  /// generation, since compaction opens a fresh StoredIndex.  Empty for an
+  /// unsorted index.  Thread-safe.  Only the mutation layer's Delete asks
+  /// for it, so an index that is only queried never holds the 4 B/row.
+  const std::vector<uint32_t>& inverse_row_order() const;
+
   /// Compaction generation this directory is at (0 = as first built).
   /// Serves as the operand-cache epoch: serve-layer cache keys carry it,
   /// so operands fetched from an older generation can never satisfy a
@@ -282,6 +290,8 @@ class StoredIndex {
   // Sort permutation from the roworder.perm sidecar; empty when unsorted.
   std::vector<uint32_t> row_order_;
   RowOrder row_order_kind_ = RowOrder::kNone;
+  mutable std::once_flag inverse_once_;
+  mutable std::vector<uint32_t> inverse_row_order_;  // see inverse_row_order()
   format::Manifest manifest_;
   // Stored-slot offset of each component within an IS row.
   std::vector<uint32_t> slot_offsets_;

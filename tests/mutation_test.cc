@@ -23,6 +23,7 @@
 #include "compress/codec.h"
 #include "core/bitmap_index.h"
 #include "core/eval.h"
+#include "core/row_order.h"
 #include "obs/metrics.h"
 #include "storage/delta.h"
 #include "storage/env.h"
@@ -31,6 +32,22 @@
 #include "workload/queries.h"
 
 namespace bix {
+
+// Reads MutableStoredIndex's snapshot internals (the class befriends it).
+struct MutableStoredIndexTestPeer {
+  using State = MutableStoredIndex::DeltaState;
+  static std::shared_ptr<const State> Current(const MutableStoredIndex& index) {
+    return index.state();
+  }
+  // The from-scratch snapshot over the same base, pending values and
+  // tombstones.
+  static std::shared_ptr<const State> Rebuild(
+      const State& state, std::span<const uint32_t> delta_values) {
+    return MutableStoredIndex::MakeState(state.base, delta_values,
+                                         state.tombstones);
+  }
+};
+
 namespace {
 
 class TempDir {
@@ -517,6 +534,141 @@ TEST(MutableStoredIndex, TombstonesBecomePermanentNulls) {
   ASSERT_TRUE(index->Delete(std::vector<uint32_t>{4}).ok());
   logical[4] = kNullValue;
   ExpectMatchesOracle(*index, logical, "delete after compact");
+}
+
+// Append and Delete derive each snapshot from the one before it (a delete
+// shares the delta index, an append extends a clone of it by its batch,
+// and the tombstone count moves by the newly set bits).  After every step
+// the snapshot must equal one built from scratch over the same pending
+// rows, and a snapshot pinned before a mutation must not change under it.
+TEST(MutableStoredIndex, IncrementalDeltaStateMatchesRebuild) {
+  using Peer = MutableStoredIndexTestPeer;
+  TempDir tmp;
+  std::vector<uint32_t> logical = SeedValues();
+  auto index = BuildMutable(tmp.path() / "idx", logical);
+  std::vector<uint32_t> pending;
+
+  auto expect_matches_rebuild = [&](const Peer::State& state,
+                                    std::span<const uint32_t> values,
+                                    const std::string& step) {
+    std::shared_ptr<const Peer::State> rebuilt = Peer::Rebuild(state, values);
+    EXPECT_EQ(state.num_delta(), values.size()) << step;
+    EXPECT_EQ(state.num_tombstones, rebuilt->num_tombstones) << step;
+    ASSERT_EQ(state.delta_index == nullptr, rebuilt->delta_index == nullptr)
+        << step;
+    if (state.delta_index == nullptr) return;
+    const BitmapIndex& got = *state.delta_index;
+    const BitmapIndex& want = *rebuilt->delta_index;
+    EXPECT_TRUE(got.non_null() == want.non_null()) << step;
+    for (int c = 0; c < want.base().num_components(); ++c) {
+      for (int j = 0; j < want.component(c).num_stored_bitmaps(); ++j) {
+        const auto slot = static_cast<uint32_t>(j);
+        EXPECT_TRUE(*got.FetchView(c, slot, nullptr) ==
+                    *want.FetchView(c, slot, nullptr))
+            << step << " component " << c << " slot " << slot;
+      }
+    }
+  };
+  auto append = [&](std::vector<uint32_t> values, const std::string& step) {
+    ASSERT_TRUE(index->Append(values).ok()) << step;
+    pending.insert(pending.end(), values.begin(), values.end());
+    logical.insert(logical.end(), values.begin(), values.end());
+    expect_matches_rebuild(*Peer::Current(*index), pending, step);
+    ExpectMatchesOracle(*index, logical, step);
+  };
+  auto remove = [&](std::vector<uint32_t> rows, const std::string& step) {
+    ASSERT_TRUE(index->Delete(rows).ok()) << step;
+    for (uint32_t r : rows) logical[r] = kNullValue;
+    expect_matches_rebuild(*Peer::Current(*index), pending, step);
+    ExpectMatchesOracle(*index, logical, step);
+  };
+
+  remove({1}, "delete before any append");
+  append({0, 5, kNullValue}, "first append");
+  remove({2, 24, 1, 2}, "delete with repeats and an old tombstone");
+  EXPECT_EQ(index->num_tombstones(), 3u);
+
+  // A delete shares the delta index; an append leaves the pinned one as it
+  // was.
+  std::shared_ptr<const Peer::State> pinned = Peer::Current(*index);
+  const std::vector<uint32_t> pinned_pending = pending;
+  remove({25}, "delete of a delta row");
+  EXPECT_EQ(Peer::Current(*index)->delta_index, pinned->delta_index);
+  append({2, 2, 4}, "second append");
+  append({kNullValue}, "null append");
+  EXPECT_NE(Peer::Current(*index)->delta_index, pinned->delta_index);
+  expect_matches_rebuild(*pinned, pinned_pending, "pinned snapshot");
+  EXPECT_EQ(pinned->tombstones.size(), SeedValues().size() + 3);
+
+  remove({0, 28, 29, 13}, "mixed delete");
+  append({3}, "third append");
+  EXPECT_EQ(index->num_tombstones(), 8u);
+  EXPECT_EQ(index->num_delta_rows(), pending.size());
+
+  // Reopen replays the log and the tombstone blob through the from-scratch
+  // path: the same state.
+  index.reset();
+  ASSERT_TRUE(MutableStoredIndex::Open(tmp.path() / "idx", &index).ok());
+  expect_matches_rebuild(*Peer::Current(*index), pending, "reopen");
+  EXPECT_EQ(index->num_tombstones(), 8u);
+  ExpectMatchesOracle(*index, logical, "reopen");
+}
+
+// Deletes over a sorted base take logical ids and translate them through
+// the base generation's cached inverse permutation.  A re-sorting
+// compaction opens a new generation with a different permutation, so a
+// delete mapped through the old generation's inverse would tombstone the
+// wrong physical rows.
+TEST(MutableStoredIndex, SortedDeleteAfterResortUsesNewGenerationInverse) {
+  TempDir tmp;
+  std::vector<uint32_t> logical;
+  for (uint32_t i = 0; i < 200; ++i) {
+    logical.push_back(i % 11 == 0 ? kNullValue : (i * 7 + i / 5) % kCardinality);
+  }
+  const BaseSequence base = BaseSequence::FromLsbFirst({3, 2});
+  const std::vector<uint32_t> perm =
+      ComputeRowOrder(logical, kCardinality, base, RowOrder::kLex);
+  ASSERT_FALSE(IsIdentityPermutation(perm));
+  BitmapIndex built = BitmapIndex::Build(ApplyPermutation(logical, perm),
+                                         kCardinality, base, Encoding::kRange);
+  std::unique_ptr<StoredIndex> stored;
+  ASSERT_TRUE(StoredIndex::Write(built, tmp.path() / "idx",
+                                 StorageScheme::kBitmapLevel,
+                                 *CodecByName("none"), &stored, {}, perm,
+                                 RowOrder::kLex)
+                  .ok());
+  stored.reset();
+  std::unique_ptr<MutableStoredIndex> index;
+  ASSERT_TRUE(MutableStoredIndex::Open(tmp.path() / "idx", &index).ok());
+
+  // The first delete inverts generation 0's permutation.
+  ASSERT_TRUE(index->Delete(std::vector<uint32_t>{3, 150}).ok());
+  logical[3] = logical[150] = kNullValue;
+  ASSERT_TRUE(index->Append(std::vector<uint32_t>{5, 0, 2}).ok());
+  logical.insert(logical.end(), {5, 0, 2});
+  ASSERT_TRUE(index->Delete(std::vector<uint32_t>{60, 201}).ok());
+  logical[60] = logical[201] = kNullValue;
+  ExpectMatchesOracle(*index, logical, "generation 0 deletes");
+
+  ASSERT_TRUE(index->Compact(/*resort=*/true, RowOrder::kGray).ok());
+  EXPECT_EQ(index->generation(), 1u);
+  const std::vector<uint32_t>& resorted = index->base()->row_order();
+  ASSERT_EQ(resorted.size(), logical.size());
+  ASSERT_NE(std::vector<uint32_t>(resorted.begin(), resorted.begin() + 200),
+            perm);
+
+  // Logical ids across the re-sorted base, the former append tail, and
+  // rows already NULL.
+  const std::vector<uint32_t> doomed = {0, 1, 7, 42, 99, 150, 199, 200, 202};
+  ASSERT_TRUE(index->Delete(doomed).ok());
+  for (uint32_t r : doomed) logical[r] = kNullValue;
+  ExpectMatchesOracle(*index, logical, "generation 1 deletes");
+  EXPECT_EQ(index->num_tombstones(), doomed.size());
+  EXPECT_EQ(index->base()->inverse_row_order(), InvertPermutation(resorted));
+
+  index.reset();
+  ASSERT_TRUE(MutableStoredIndex::Open(tmp.path() / "idx", &index).ok());
+  ExpectMatchesOracle(*index, logical, "reopen");
 }
 
 }  // namespace

@@ -124,6 +124,89 @@ TEST(RowOrderTest, RemapLogicalAndPhysicalAreInverses) {
   EXPECT_TRUE(RemapToLogical(tail_physical, perm) == tail);
 }
 
+// Scalar references for the remap kernels: the definitions, one bit at a
+// time (positions at or past perm.size() map to themselves).
+Bitvector ReferenceToLogical(const Bitvector& physical,
+                             const std::vector<uint32_t>& perm) {
+  Bitvector out = Bitvector::Zeros(physical.size());
+  for (size_t p = 0; p < physical.size(); ++p) {
+    if (physical.Get(p)) out.Set(p < perm.size() ? perm[p] : p);
+  }
+  return out;
+}
+
+Bitvector ReferenceToPhysical(const Bitvector& logical,
+                              const std::vector<uint32_t>& perm) {
+  Bitvector out = Bitvector::Zeros(logical.size());
+  for (size_t p = 0; p < logical.size(); ++p) {
+    if (logical.Get(p < perm.size() ? perm[p] : p)) out.Set(p);
+  }
+  return out;
+}
+
+// `count` distinct positions of [0, n), chosen at random.
+Bitvector RandomBits(size_t n, size_t count, std::mt19937_64* rng) {
+  std::vector<uint32_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
+  std::shuffle(rows.begin(), rows.end(), *rng);
+  Bitvector bits = Bitvector::Zeros(n);
+  for (size_t i = 0; i < count; ++i) bits.Set(rows[i]);
+  return bits;
+}
+
+// The word-at-a-time kernels (complemented scatter past half density,
+// full-word fast path, identity tail) against the scalar definitions, on
+// the shapes where their branches switch.
+TEST(RowOrderTest, RemapKernelsMatchScalarReferenceOnEdgeCases) {
+  std::mt19937_64 rng(11);
+  for (size_t rows : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                      size_t{128}, size_t{1000}, size_t{4133}}) {
+    const std::vector<uint32_t> lex = ComputeRowOrder(
+        RandomColumn(rows, 5, rng(), 0), 5, BaseSequence::SingleComponent(5),
+        RowOrder::kLex);
+    std::vector<uint32_t> random(rows);
+    std::iota(random.begin(), random.end(), 0);
+    std::shuffle(random.begin(), random.end(), rng);
+    const std::vector<uint32_t>* perms[] = {&lex, &random};
+    for (const std::vector<uint32_t>* perm : perms) {
+      for (size_t tail : {size_t{0}, size_t{1}, size_t{70}}) {
+        const size_t n = rows + tail;
+        std::vector<std::pair<std::string, Bitvector>> inputs = {
+            {"empty", Bitvector::Zeros(n)},
+            {"all-ones", Bitvector::Ones(n)},
+            {"half", RandomBits(n, n / 2, &rng)},
+            {"half+1", RandomBits(n, std::min(n, n / 2 + 1), &rng)},
+            {"third", RandomBits(n, n / 3, &rng)},
+            {"two-thirds", RandomBits(n, 2 * n / 3, &rng)},
+        };
+        // Runs of full words with a ragged edge on either side, and the
+        // same shape complemented (so the complemented path meets them).
+        Bitvector runs = Bitvector::Zeros(n);
+        for (size_t p = std::min(n, size_t{30}); p < std::min(n, size_t{300});
+             ++p) {
+          runs.Set(p);
+        }
+        for (size_t p = 640; p < std::min(n, size_t{1281}); ++p) runs.Set(p);
+        inputs.emplace_back("runs", runs);
+        inputs.emplace_back("not-runs", ~runs);
+        for (const auto& [name, bits] : inputs) {
+          const std::string context =
+              name + " rows=" + std::to_string(rows) +
+              " tail=" + std::to_string(tail) +
+              (perm == &lex ? " lex" : " random");
+          const Bitvector logical = RemapToLogical(bits, *perm);
+          ASSERT_TRUE(logical == ReferenceToLogical(bits, *perm)) << context;
+          const Bitvector physical = RemapToPhysical(bits, *perm);
+          ASSERT_TRUE(physical == ReferenceToPhysical(bits, *perm))
+              << context;
+          EXPECT_TRUE(RemapToPhysical(logical, *perm) == bits) << context;
+          EXPECT_EQ(logical.Count(), bits.Count()) << context;
+        }
+      }
+    }
+  }
+}
+
 TEST(RowOrderTest, LexSortsValuesWithNullsLast) {
   std::vector<uint32_t> values = RandomColumn(400, 20, 5);
   BaseSequence base = BaseSequence::SingleComponent(20);
