@@ -29,6 +29,7 @@
 #include "bitmap/bitvector.h"
 #include "bitmap/wah_bitvector.h"
 #include "bitmap/wah_kernels.h"
+#include "compress/wah_codec.h"
 #include "core/bitmap_index.h"
 #include "core/compressed_source.h"
 #include "core/eval.h"
@@ -181,6 +182,37 @@ double MeasureRemap(const BitmapSource& source,
     total_us += best_us;
   }
   return total_us / static_cast<double>(sweep.size());
+}
+
+// The dense fetch's decode: every stored bitmap of `index`, encoded as its
+// "wah" storage payload, inflated by WahCodec::DecodeToDense.  Returns the
+// sum over bitmaps of the fastest of `reps` decodes, or -1 when an output
+// differs from WahBitvector::ToBitvector or from the source bitmap.
+double MeasureDecode(const BitmapIndex& index, int reps) {
+  double total_us = 0;
+  for (int comp = 0; comp < index.base().num_components(); ++comp) {
+    const uint32_t stored =
+        NumStoredBitmaps(index.encoding(), index.base().base(comp));
+    for (uint32_t slot = 0; slot < stored; ++slot) {
+      const Bitvector dense = index.Fetch(comp, slot, nullptr);
+      const Bitvector want = WahBitvector::FromBitvector(dense).ToBitvector();
+      if (!(want == dense)) return -1;
+      const std::vector<uint8_t> payload = WahCodec::EncodeBits(dense);
+      double best_us = 0;
+      for (int r = 0; r < reps; ++r) {
+        Bitvector got;
+        const auto start = std::chrono::steady_clock::now();
+        const bool ok = WahCodec::DecodeToDense(payload, dense.size(), &got);
+        const double us = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+        if (!ok || !(got == want)) return -1;
+        best_us = r == 0 ? us : std::min(best_us, us);
+      }
+      total_us += best_us;
+    }
+  }
+  return total_us;
 }
 
 // Relations whose bitmap densities sweep the WAH win/lose spectrum.
@@ -395,13 +427,17 @@ int main(int argc, char** argv) {
   // execution.  Foundset checksums are order-invariant, so all three arms
   // must agree bit-for-bit on every query's count; remap_us times the
   // sorted arms' crossing back to logical row ids (RemapToLogical), whose
-  // output must equal the shuffled arm's foundset.
+  // output must equal the shuffled arm's foundset.  decode_us times the
+  // dense fetch's one-pass inflate of every stored bitmap (MeasureDecode)
+  // on every arm: sorting shrinks the payloads, not the output.
   const size_t sort_rows = smoke ? 100000 : 1000000;
   std::printf("\nrow reordering: shuffled vs sorted builds, %zu rows, "
               "equality encoding, auto engine\n\n", sort_rows);
-  std::printf("%-22s %-9s | %10s %7s | %10s %10s | %10s %9s | %10s\n",
+  std::printf("%-22s %-9s | %10s %7s | %10s %10s | %10s %9s | %10s | "
+              "%10s\n",
               "relation", "order", "wah KB", "ratio", "comp ops",
-              "plain ops", "auto us/q", "cal ratio", "remap us/q");
+              "plain ops", "auto us/q", "cal ratio", "remap us/q",
+              "decode us");
 
   struct SortLane {
     const char* name;
@@ -485,13 +521,19 @@ int main(int argc, char** argv) {
           return 1;
         }
       }
+      const double decode_us = MeasureDecode(index, /*reps=*/20);
+      if (decode_us < 0) {
+        std::printf("FAIL: dense decode diverges on %s %s\n", lane.name,
+                    arm.name);
+        return 1;
+      }
       std::printf("%-22s %-9s | %10.1f %6.2fx | %10lld %10lld | %10.1f "
-                  "%9lld | %10.1f\n",
+                  "%9lld | %10.1f | %10.1f\n",
                   lane.name, arm.name,
                   static_cast<double>(wah_bytes) / 1024, ratio,
                   static_cast<long long>(compressed_ops),
                   static_cast<long long>(plain_ops), auto_us,
-                  static_cast<long long>(calibrated), remap_us);
+                  static_cast<long long>(calibrated), remap_us, decode_us);
       const std::vector<bench::BenchParam> params = {
           {"relation", lane.name},
           {"order", arm.name},
@@ -510,6 +552,7 @@ int main(int argc, char** argv) {
       if (arm.order != RowOrder::kNone) {
         json.Add("wah_ablation_roworder", params, "remap_us", remap_us, "us");
       }
+      json.Add("wah_ablation_roworder", params, "decode_us", decode_us, "us");
     }
   }
 

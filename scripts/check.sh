@@ -41,7 +41,8 @@ if [[ "$RUN_DIFF" == 1 ]]; then
   # the WAH codec fuzz tests (label "differential", tests/CMakeLists.txt)
   # cross-check the plain, segmented, and compressed-domain engines for bit
   # equality and EvalStats parity in a few hundred milliseconds.
-  cmake -B build -G Ninja
+  # No -G: reuse however build/ is already configured (Ninja or Make).
+  cmake -B build
   cmake --build build --target bix_differential_tests
   ctest --test-dir build -L differential --output-on-failure
   # Merge-strategy matrix: the same harness re-run with each k-ary WAH
@@ -150,7 +151,8 @@ if [[ "$RUN_BENCH_GATE" == 1 ]]; then
 fi
 
 if [[ "$RUN_MAIN" == 1 ]]; then
-  cmake -B build -G Ninja
+  # No -G: reuse however build/ is already configured (Ninja or Make).
+  cmake -B build
   cmake --build build
   ctest --test-dir build --output-on-failure
 

@@ -1,6 +1,9 @@
 #include "bitmap/bitvector.h"
 
 #include <bit>
+#include <cstring>
+
+#include "bitmap/popcount.h"
 
 namespace bix {
 
@@ -58,16 +61,8 @@ void Bitvector::NotInPlace() {
 }
 
 size_t Bitvector::Count() const {
-  // SWAR popcount: on the baseline x86-64 target (no POPCNT) std::popcount
-  // is an out-of-line libgcc call per word, about 3x slower over a
-  // 10M-bit vector.
   size_t count = 0;
-  for (uint64_t x : words_) {
-    x -= (x >> 1) & 0x5555555555555555ULL;
-    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-    count += static_cast<size_t>((x * 0x0101010101010101ULL) >> 56);
-  }
+  for (uint64_t x : words_) count += Popcount64(x);
   return count;
 }
 
@@ -113,23 +108,22 @@ std::vector<uint32_t> Bitvector::ToSetBitIndices() const {
   return out;
 }
 
+// The byte image is the little-endian word image truncated to
+// ceil(num_bits / 8) bytes, so both directions are a single copy.
+static_assert(std::endian::native == std::endian::little,
+              "Bitvector byte images assume a little-endian host");
+
 std::vector<uint8_t> Bitvector::ToBytes() const {
-  std::vector<uint8_t> bytes((num_bits_ + 7) / 8, 0);
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    size_t word = i >> 3;
-    size_t shift = (i & 7) * 8;
-    bytes[i] = static_cast<uint8_t>(words_[word] >> shift);
-  }
+  std::vector<uint8_t> bytes((num_bits_ + 7) / 8);
+  if (!bytes.empty()) std::memcpy(bytes.data(), words_.data(), bytes.size());
   return bytes;
 }
 
 Bitvector Bitvector::FromBytes(std::span<const uint8_t> bytes, size_t num_bits) {
-  BIX_CHECK(bytes.size() >= (num_bits + 7) / 8);
+  const size_t num_bytes = (num_bits + 7) / 8;
+  BIX_CHECK(bytes.size() >= num_bytes);
   Bitvector bv(num_bits);
-  size_t num_bytes = (num_bits + 7) / 8;
-  for (size_t i = 0; i < num_bytes; ++i) {
-    bv.words_[i >> 3] |= uint64_t{bytes[i]} << ((i & 7) * 8);
-  }
+  if (num_bytes != 0) std::memcpy(bv.words_.data(), bytes.data(), num_bytes);
   bv.ClearTail();
   return bv;
 }

@@ -1,9 +1,9 @@
 #include "bitmap/bitvector_kernels.h"
 
-#include <bit>
 #include <cstddef>
 #include <vector>
 
+#include "bitmap/popcount.h"
 #include "core/check.h"
 
 namespace bix {
@@ -55,7 +55,7 @@ size_t CountFoldMany(std::span<const Bitvector* const> operands, WordOp op) {
       }
     }
     for (size_t w = w0; w < w1; ++w) {
-      count += static_cast<size_t>(std::popcount(block[w - w0]));
+      count += Popcount64(block[w - w0]);
     }
   }
   return count;
@@ -69,7 +69,7 @@ size_t CountCombined(const Bitvector& a, const Bitvector& b, WordOp op) {
   const size_t num_words = a.words().size();
   size_t count = 0;
   for (size_t w = 0; w < num_words; ++w) {
-    count += static_cast<size_t>(std::popcount(op(wa[w], wb[w])));
+    count += Popcount64(op(wa[w], wb[w]));
   }
   return count;
 }

@@ -2,13 +2,27 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
+#include "bitmap/popcount.h"
 #include "bitmap/wah_run_decoder.h"
 #include "core/check.h"
 
 namespace bix {
 
 using namespace wah_internal;
+
+static_assert(std::endian::native == std::endian::little,
+              "WAH code words are read and stored little-endian");
+
+namespace {
+
+// ceil(num_bits / 31), without the overflow of adding 30 first.
+uint64_t NumGroups(size_t num_bits) {
+  return num_bits / kGroupBits + (num_bits % kGroupBits != 0 ? 1 : 0);
+}
+
+}  // namespace
 
 void WahBitvector::AppendLiteral(uint32_t group) {
   BIX_DCHECK((group & kFillFlag) == 0);
@@ -104,52 +118,176 @@ bool WahBitvector::TryFromCodeWords(std::span<const uint32_t> words,
   return true;
 }
 
-namespace {
+namespace wah_internal {
 
-// Sets bits [lo, hi) in the backing words of a dense bitvector.
-void SetBitRange(std::span<uint64_t> words, size_t lo, size_t hi) {
-  if (lo >= hi) return;
-  size_t wlo = lo >> 6;
-  size_t whi = (hi - 1) >> 6;
-  uint64_t first = ~uint64_t{0} << (lo & 63);
-  uint64_t last =
-      (hi & 63) != 0 ? ~uint64_t{0} >> (64 - (hi & 63)) : ~uint64_t{0};
-  if (wlo == whi) {
-    words[wlo] |= first & last;
-    return;
+template <bool kIsOr>
+bool FoldCodeWords(std::span<uint64_t> words, const uint8_t* code,
+                   size_t num_words, size_t num_bits) {
+  // A stitch buffer realigns the 31-bit groups: a literal costs three ALU
+  // ops, and each output word is touched once (per 2.06 groups), not once
+  // per group.  Fills bypass the buffer for their word-aligned middle:
+  // identity fills (zeros for OR, ones for AND) skip whole words, dominant
+  // fills overwrite them with pure stores — word masks, no per-bit loop.
+  //
+  // The stream covers ceil(num_bits/31)*31 bits, which can run past the
+  // last word.  Word `edge` is the first that holds a position >= num_bits
+  // (`edge_mask` of it, all of every later word); flushes from there on
+  // take a checked path, and nothing past the last word is written.
+  const size_t nwords = words.size();
+  const uint64_t want_bits = NumGroups(num_bits) * kGroupBits;
+  const size_t edge = num_bits >> 6;
+  const uint64_t edge_mask = ~uint64_t{0} << (num_bits & 63);
+  auto past_end = [&](size_t word) {
+    return word == edge ? edge_mask : ~uint64_t{0};
+  };
+  bool clean = true;  // no set bit decoded at or past num_bits
+  size_t w = 0;       // output word the buffer starts in
+  uint64_t buf = 0;   // pending stream bits [64w, 64w + n)
+  unsigned n = 0;
+  auto flush = [&](uint64_t full) {
+    if (w >= edge) {
+      if ((full & past_end(w)) != 0) clean = false;
+      if (w >= nwords) {
+        ++w;
+        return;
+      }
+    }
+    if (kIsOr) {
+      words[w] |= full;
+    } else {
+      words[w] &= full;
+    }
+    ++w;
+  };
+  size_t i = 0;
+  while (i < num_words) {
+    // Literal-pair fast path: on low-compressibility inputs literals come
+    // in long runs, so load two code words at once (one 64-bit load, one
+    // fill test) and stitch their 62 payload bits together.
+    if (i + 1 < num_words) {
+      uint64_t two;
+      std::memcpy(&two, code + i * sizeof(uint32_t), sizeof(two));
+      if ((two & 0x8000000080000000ull) == 0) {
+        const uint64_t pair = (two & 0x7fffffffull) |
+                              ((two >> 1) & 0x3fffffff80000000ull);
+        buf |= pair << n;
+        n += 2 * kGroupBits;
+        if (n >= 64) {
+          flush(buf);
+          n -= 64;
+          buf = n == 0 ? 0 : pair >> (2 * kGroupBits - n);
+        }
+        i += 2;
+        continue;
+      }
+    }
+    uint32_t cw;
+    std::memcpy(&cw, code + i * sizeof(uint32_t), sizeof(cw));
+    ++i;
+    if (!IsFill(cw)) {
+      buf |= uint64_t{cw} << n;
+      n += kGroupBits;
+      if (n >= 64) {
+        flush(buf);
+        n -= 64;
+        buf = n == 0 ? 0 : uint64_t{cw} >> (kGroupBits - n);
+      }
+      continue;
+    }
+    const bool v = FillValue(cw);
+    const uint64_t groups = FillCount(cw);
+    uint64_t span = groups * kGroupBits;
+    // Zero count, group overflow, or a ones-fill reaching past num_bits
+    // (only a trailing fill over a partial final group can).  The last
+    // needs its own test: such a fill can store the whole edge word below
+    // and end word-aligned, so no checked flush would see its bits.
+    const uint64_t fill_end = uint64_t{w} * 64 + n + span;
+    if (groups == 0 || fill_end > want_bits || (v && fill_end > num_bits)) {
+      return false;
+    }
+    if (n != 0) {
+      const unsigned take = 64 - n;
+      if (span < take) {
+        if (v) buf |= ((uint64_t{1} << span) - 1) << n;
+        n += static_cast<unsigned>(span);
+        continue;
+      }
+      if (v) buf |= ~uint64_t{0} << n;
+      flush(buf);
+      buf = 0;
+      n = 0;
+      span -= take;
+    }
+    const size_t target = w + static_cast<size_t>(span >> 6);
+    if (v == kIsOr) {
+      // Dominant fill: pure stores, no read of the accumulator.
+      const uint64_t store = kIsOr ? ~uint64_t{0} : uint64_t{0};
+      for (const size_t end = std::min(target, nwords); w < end; ++w) {
+        words[w] = store;
+      }
+    }
+    w = target;  // identity fills skip their whole words
+    n = static_cast<unsigned>(span & 63);
+    if (n != 0) buf = v ? (uint64_t{1} << n) - 1 : 0;
   }
-  words[wlo] |= first;
-  for (size_t w = wlo + 1; w < whi; ++w) words[w] = ~uint64_t{0};
-  words[whi] |= last;
+  // Group underflow, or overflow by literals.
+  if (uint64_t{w} * 64 + n != want_bits) return false;
+  if (n != 0) {
+    if (w >= edge && (buf & past_end(w)) != 0) return false;
+    // Partial final word: bits at or above n belong to no group and stay
+    // untouched (AND masks them back in as identity).
+    if (w < nwords) {
+      if (kIsOr) {
+        words[w] |= buf;
+      } else {
+        words[w] &= buf | (~uint64_t{0} << n);
+      }
+    }
+  }
+  return clean;
 }
 
-}  // namespace
+template bool FoldCodeWords<true>(std::span<uint64_t>, const uint8_t*, size_t,
+                                  size_t);
+template bool FoldCodeWords<false>(std::span<uint64_t>, const uint8_t*, size_t,
+                                   size_t);
+
+}  // namespace wah_internal
+
+bool WahBitvector::InflateCodeWords(std::span<const uint8_t> code,
+                                    size_t num_bits, Bitvector* out) {
+  if (code.size() % sizeof(uint32_t) != 0) return false;
+  const size_t num_words = code.size() / sizeof(uint32_t);
+  // Allocation guard for a length taken from an untrusted header: when the
+  // bit length claims more than 512 output bytes per code word, first check
+  // that the words' groups add up to it.  Such a payload has few words for
+  // its output, so this scan costs less than zeroing that output, and a
+  // forged length cannot make the inflate allocate memory its code words
+  // do not account for.
+  if (num_bits / 64 > 64 * num_words + 1024) {
+    uint64_t groups = 0;
+    for (size_t i = 0; i < num_words; ++i) {
+      uint32_t cw;
+      std::memcpy(&cw, code.data() + i * sizeof(uint32_t), sizeof(cw));
+      groups += IsFill(cw) ? FillCount(cw) : 1;
+    }
+    if (groups != NumGroups(num_bits)) return false;
+  }
+  Bitvector dense(num_bits);
+  if (!FoldCodeWords<true>(dense.mutable_words(), code.data(), num_words,
+                           num_bits)) {
+    return false;
+  }
+  *out = std::move(dense);
+  return true;
+}
 
 Bitvector WahBitvector::ToBitvector() const {
   Bitvector out(num_bits_);
-  std::span<uint64_t> words = out.mutable_words();
-  size_t bit = 0;
-  for (uint32_t word : words_) {
-    if (IsFill(word)) {
-      size_t span = static_cast<size_t>(FillCount(word)) * kGroupBits;
-      if (FillValue(word)) {
-        // ClearTail keeps ones fills inside num_bits_; clamp defensively.
-        SetBitRange(words, bit, std::min(bit + span, num_bits_));
-      }
-      bit += span;
-    } else {
-      // OR the 31-bit group into the (at most two) straddled words.  Spill
-      // bits past the final backing word are zero in canonical form (the
-      // tail group is masked) and can be dropped.
-      size_t w = bit >> 6;
-      uint32_t off = static_cast<uint32_t>(bit & 63);
-      words[w] |= static_cast<uint64_t>(word) << off;
-      if (off > 64 - kGroupBits && w + 1 < words.size()) {
-        words[w + 1] |= static_cast<uint64_t>(word) >> (64 - off);
-      }
-      bit += kGroupBits;
-    }
-  }
+  const bool ok = FoldCodeWords<true>(
+      out.mutable_words(), reinterpret_cast<const uint8_t*>(words_.data()),
+      words_.size(), num_bits_);
+  BIX_CHECK(ok);  // every WahBitvector holds a validated stream
   return out;
 }
 
@@ -166,7 +304,7 @@ size_t WahBitvector::Count() const {
       }
       bit += span;
     } else {
-      count += static_cast<size_t>(std::popcount(word));
+      count += Popcount64(word);
       bit += kGroupBits;
     }
   }
@@ -229,7 +367,7 @@ size_t WahBitvector::AndCount(const WahBitvector& a, const WahBitvector& b) {
                                 : x.literal();
       uint32_t yg = y.is_fill() ? (y.fill_value() ? kLiteralMask : 0)
                                 : y.literal();
-      count += static_cast<size_t>(std::popcount(xg & yg));
+      count += Popcount64(xg & yg);
       bit += kGroupBits;
       x.Consume(1);
       y.Consume(1);

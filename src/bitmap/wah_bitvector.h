@@ -41,6 +41,15 @@ class WahBitvector {
   static bool TryFromCodeWords(std::span<const uint32_t> words,
                                size_t num_bits, WahBitvector* out);
 
+  /// Inflates serialized code words (little-endian u32s, as the "wah"
+  /// storage codec lays them out) straight into a dense bitvector in one
+  /// validating pass — the decode kernel ToBitvector, WahCodec::Decompress
+  /// and the storage layer's dense fetch share.  Rejects exactly what
+  /// TryFromCodeWords rejects (and a byte count not a multiple of 4);
+  /// false leaves `*out` untouched.
+  static bool InflateCodeWords(std::span<const uint8_t> code, size_t num_bits,
+                               Bitvector* out);
+
   /// The all-`value` vector of `num_bits` bits (a single fill run; the
   /// compressed analogue of Bitvector::Zeros / Ones).
   static WahBitvector Fill(size_t num_bits, bool value);

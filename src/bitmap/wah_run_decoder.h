@@ -6,7 +6,9 @@
 #define BIX_BITMAP_WAH_RUN_DECODER_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/check.h"
@@ -22,6 +24,27 @@ inline constexpr uint32_t kMaxFillCount = 0x3FFFFFFFu;
 inline bool IsFill(uint32_t word) { return (word & kFillFlag) != 0; }
 inline bool FillValue(uint32_t word) { return (word & kFillValueFlag) != 0; }
 inline uint32_t FillCount(uint32_t word) { return word & kMaxFillCount; }
+
+// The one WAH-to-dense decode loop (wah_bitvector.cc).  Folds `num_words`
+// serialized code words (little-endian u32s at `code`, read with memcpy so
+// a storage payload needs no aligned copy) into `words`, the dense backing
+// words of a `num_bits`-bit accumulator: OR when kIsOr, else AND.  Into a
+// zeroed accumulator the OR form is the inflate of WahBitvector::
+// ToBitvector, WahCodec::Decompress and the storage layer's dense fetch;
+// the k-ary dense fold (wah_kernels.cc) runs both forms.
+//
+// The same pass validates the stream and returns false on exactly what
+// WahBitvector::TryFromCodeWords rejects: a fill count of 0, a group total
+// other than ceil(num_bits / 31), set bits past num_bits in the final
+// literal, and a trailing ones-fill over a partial final group.  On false,
+// `words` may hold partial output.
+template <bool kIsOr>
+bool FoldCodeWords(std::span<uint64_t> words, const uint8_t* code,
+                   size_t num_words, size_t num_bits);
+extern template bool FoldCodeWords<true>(std::span<uint64_t>, const uint8_t*,
+                                         size_t, size_t);
+extern template bool FoldCodeWords<false>(std::span<uint64_t>, const uint8_t*,
+                                          size_t, size_t);
 
 // Sequential reader over the code words, exposing one run at a time.
 class RunDecoder {

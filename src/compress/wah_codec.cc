@@ -6,15 +6,28 @@ namespace bix {
 
 namespace {
 
+constexpr size_t kHeaderBytes = sizeof(uint64_t);
+
 std::vector<uint8_t> EncodeWah(const WahBitvector& wah) {
   const std::vector<uint32_t>& words = wah.code_words();
-  std::vector<uint8_t> out(8 + words.size() * 4);
+  std::vector<uint8_t> out(kHeaderBytes + words.size() * 4);
   uint64_t num_bits = wah.size();
-  std::memcpy(out.data(), &num_bits, 8);
+  std::memcpy(out.data(), &num_bits, kHeaderBytes);
   if (!words.empty()) {
-    std::memcpy(out.data() + 8, words.data(), words.size() * 4);
+    std::memcpy(out.data() + kHeaderBytes, words.data(), words.size() * 4);
   }
   return out;
+}
+
+// Reads the bit-length header; false when the payload is not a header plus
+// whole code words.
+bool ReadHeader(std::span<const uint8_t> payload, uint64_t* num_bits) {
+  if (payload.size() < kHeaderBytes ||
+      (payload.size() - kHeaderBytes) % 4 != 0) {
+    return false;
+  }
+  std::memcpy(num_bits, payload.data(), kHeaderBytes);
+  return true;
 }
 
 }  // namespace
@@ -25,15 +38,24 @@ std::vector<uint8_t> WahCodec::EncodeBits(const Bitvector& bits) {
 
 bool WahCodec::DecodeToWah(std::span<const uint8_t> payload,
                            WahBitvector* out) {
-  if (payload.size() < 8 || (payload.size() - 8) % 4 != 0) return false;
   uint64_t num_bits = 0;
-  std::memcpy(&num_bits, payload.data(), 8);
-  std::vector<uint32_t> words((payload.size() - 8) / 4);
+  if (!ReadHeader(payload, &num_bits)) return false;
+  std::vector<uint32_t> words((payload.size() - kHeaderBytes) / 4);
   if (!words.empty()) {
-    std::memcpy(words.data(), payload.data() + 8, words.size() * 4);
+    std::memcpy(words.data(), payload.data() + kHeaderBytes, words.size() * 4);
   }
   return WahBitvector::TryFromCodeWords(words, static_cast<size_t>(num_bits),
                                         out);
+}
+
+bool WahCodec::DecodeToDense(std::span<const uint8_t> payload, size_t num_bits,
+                             Bitvector* out) {
+  uint64_t header_bits = 0;
+  if (!ReadHeader(payload, &header_bits) || header_bits != num_bits) {
+    return false;
+  }
+  return WahBitvector::InflateCodeWords(payload.subspan(kHeaderBytes),
+                                        num_bits, out);
 }
 
 std::vector<uint8_t> WahCodec::Compress(std::span<const uint8_t> data) const {
@@ -43,9 +65,14 @@ std::vector<uint8_t> WahCodec::Compress(std::span<const uint8_t> data) const {
 
 bool WahCodec::Decompress(std::span<const uint8_t> data,
                           std::vector<uint8_t>* out) const {
-  WahBitvector wah;
-  if (!DecodeToWah(data, &wah)) return false;
-  *out = wah.ToBitvector().ToBytes();
+  uint64_t num_bits = 0;
+  Bitvector dense;
+  if (!ReadHeader(data, &num_bits) ||
+      !WahBitvector::InflateCodeWords(data.subspan(kHeaderBytes),
+                                      static_cast<size_t>(num_bits), &dense)) {
+    return false;
+  }
+  *out = dense.ToBytes();
   return true;
 }
 

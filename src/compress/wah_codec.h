@@ -6,8 +6,9 @@
 // BitmapSource::FetchWah as a WahBitvector — zero decompression on the
 // fetch path — which closes the ROADMAP follow-up where `--engine=wah`
 // over a disk-backed cBS index inflated and re-compressed every fetch.
-// Generic readers (other schemes, the dense engines) still Decompress to
-// raw bytes like any codec.
+// A dense fetch of the same payload inflates it straight into a Bitvector
+// (DecodeToDense: one validating pass, no byte round trip); generic
+// readers (the CS/IS schemes) Decompress to raw bytes like any codec.
 //
 // Payload layout: u64 num_bits (little-endian) then the u32 code words.
 // Compress treats its input as a bit string of 8 * size bits; the storage
@@ -43,6 +44,14 @@ class WahCodec final : public Codec {
   /// Validates structure (see WahBitvector::TryFromCodeWords); returns
   /// false on malformed input.
   static bool DecodeToWah(std::span<const uint8_t> payload, WahBitvector* out);
+
+  /// Inflates a payload straight into a dense bitvector in one validating
+  /// pass (WahBitvector::InflateCodeWords).  Rejects what DecodeToWah
+  /// rejects, and a payload whose header length is not `num_bits` before
+  /// allocating anything.  Decompress inflates the same way (taking the
+  /// header's length) and returns the bytes.
+  static bool DecodeToDense(std::span<const uint8_t> payload, size_t num_bits,
+                            Bitvector* out);
 };
 
 }  // namespace bix

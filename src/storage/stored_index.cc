@@ -140,14 +140,19 @@ Status StoredIndex::ReadCheckedFile(const std::string& name,
   return Status::OK();
 }
 
-Status StoredIndex::ReadBlob(const std::string& name, std::vector<uint8_t>* raw,
-                             EvalStats* stats,
-                             double* decompress_seconds) const {
+Status StoredIndex::ReadPayload(const std::string& name,
+                                format::CheckedBlob* blob) const {
   std::vector<uint8_t> bytes;
   Status s = ReadCheckedFile(name, &bytes);
   if (!s.ok()) return s;
+  return format::DecodeBlobFile(bytes, name, blob);
+}
+
+Status StoredIndex::ReadBlob(const std::string& name, std::vector<uint8_t>* raw,
+                             EvalStats* stats,
+                             double* decompress_seconds) const {
   format::CheckedBlob blob;
-  s = format::DecodeBlobFile(bytes, name, &blob);
+  Status s = ReadPayload(name, &blob);
   if (!s.ok()) return s;
   if (stats != nullptr) {
     stats->bytes_read += static_cast<int64_t>(blob.payload.size());
@@ -167,6 +172,42 @@ Status StoredIndex::ReadBlob(const std::string& name, std::vector<uint8_t>* raw,
   return Status::OK();
 }
 
+Status StoredIndex::ReadBitmap(const std::string& name, Bitvector* out,
+                               int64_t* payload_bytes,
+                               double* decompress_seconds) const {
+  const size_t num_bytes = (num_records_ + 7) / 8;
+  if (!UsesWahOperandPayloads(scheme_, *codec_)) {
+    std::vector<uint8_t> raw;
+    EvalStats io;
+    Status s = ReadBlob(name, &raw, &io, decompress_seconds);
+    *payload_bytes += io.bytes_read;
+    if (!s.ok()) return s;
+    if (raw.size() < num_bytes) {
+      return Status::Corruption("bitmap file shorter than N bits: " + name);
+    }
+    *out = Bitvector::FromBytes(raw, num_records_);
+    return Status::OK();
+  }
+  format::CheckedBlob blob;
+  Status s = ReadPayload(name, &blob);
+  if (!s.ok()) return s;
+  *payload_bytes += static_cast<int64_t>(blob.payload.size());
+  // The writer records raw_size as the byte image of the N-bit bitmap.
+  if (blob.raw_size != num_bytes) {
+    return Status::Corruption("size mismatch: " + name);
+  }
+  auto start = std::chrono::steady_clock::now();
+  if (!WahCodec::DecodeToDense(blob.payload, num_records_, out)) {
+    return Status::Corruption("decode failed: " + name);
+  }
+  if (decompress_seconds != nullptr) {
+    *decompress_seconds +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+  }
+  return Status::OK();
+}
+
 // Rebuilds equality slice E^slot as B_nn AND NOT (OR of the sibling
 // slices): every non-null record sets exactly one slice, nulls set none.
 // Only possible for BS equality components with base > 2 (base == 2
@@ -182,17 +223,15 @@ bool StoredIndex::ReconstructSlice(int component, uint32_t slot,
   span.set_component(component);
   span.set_slot(slot);
   Bitvector siblings_or = Bitvector::Zeros(num_records_);
+  Bitvector sibling;
   for (uint32_t j = 0; j < base; ++j) {
     if (j == slot) continue;
-    std::vector<uint8_t> raw;
-    EvalStats io;
-    Status s = ReadBlob(BitmapFileName(prefix_, component, j), &raw, &io,
-                        decompress_seconds);
-    *payload_bytes += io.bytes_read;
-    if (!s.ok() || raw.size() < (num_records_ + 7) / 8) {
+    if (!ReadBitmap(BitmapFileName(prefix_, component, j), &sibling,
+                    payload_bytes, decompress_seconds)
+             .ok()) {
       return false;  // a sibling is damaged too; surface the original error
     }
-    siblings_or.OrWith(Bitvector::FromBytes(raw, num_records_));
+    siblings_or.OrWith(sibling);
   }
   *out = non_null_;
   out->AndNotWith(siblings_or);
@@ -214,11 +253,8 @@ Status StoredIndex::FetchBitmapOperand(int component, uint32_t slot,
     if (!UsesWahOperandPayloads(scheme_, *codec_)) {
       return Status::NotFound("column does not store wah operand payloads");
     }
-    std::vector<uint8_t> bytes;
-    Status s = ReadCheckedFile(name, &bytes);
-    if (!s.ok()) return s;
     format::CheckedBlob blob;
-    s = format::DecodeBlobFile(bytes, name, &blob);
+    Status s = ReadPayload(name, &blob);
     if (!s.ok()) return s;
     if (!WahCodec::DecodeToWah(blob.payload, &out->wah) ||
         out->wah.size() != num_records_) {
@@ -241,14 +277,11 @@ Status StoredIndex::FetchBitmapOperand(int component, uint32_t slot,
   span.set_component(component);
   span.set_slot(slot);
   span.set_hit(false);
-  std::vector<uint8_t> raw;
-  EvalStats io;
-  Status s = ReadBlob(name, &raw, &io, &out->decompress_seconds);
-  span.set_bytes(io.bytes_read);
-  out->payload_bytes += io.bytes_read;
-  if (s.ok() && raw.size() < (num_records_ + 7) / 8) {
-    s = Status::Corruption("bitmap file shorter than N bits: " + name);
-  }
+  int64_t bytes_read = 0;
+  Status s = ReadBitmap(name, &out->dense, &bytes_read,
+                        &out->decompress_seconds);
+  span.set_bytes(bytes_read);
+  out->payload_bytes += bytes_read;
   if (!s.ok()) {
     // Corruption is deterministic (retrying re-reads the same rot); try to
     // rebuild the bitmap from its sibling slices instead.
@@ -260,7 +293,6 @@ Status StoredIndex::FetchBitmapOperand(int component, uint32_t slot,
     }
     return s;
   }
-  out->dense = Bitvector::FromBytes(raw, num_records_);
   return Status::OK();
 }
 
@@ -478,11 +510,11 @@ Status StoredIndex::WriteFromSource(const BitmapSource& source,
   const int n = source.base().num_components();
   const bool wah_operands = UsesWahOperandPayloads(scheme, codec);
 
-  auto write_blob = [&](const std::string& name, std::span<const uint8_t> raw,
+  auto write_blob = [&](const std::string& name, uint64_t raw_size,
                         std::vector<uint8_t> payload) {
     stored += static_cast<int64_t>(payload.size());
-    uncompressed += static_cast<int64_t>(raw.size());
-    return WriteBlobFile(*env, dir, name, payload, raw.size(), &manifest);
+    uncompressed += static_cast<int64_t>(raw_size);
+    return WriteBlobFile(*env, dir, name, payload, raw_size, &manifest);
   };
 
   switch (scheme) {
@@ -497,13 +529,16 @@ Status StoredIndex::WriteFromSource(const BitmapSource& source,
             fetched = source.Fetch(c, j, nullptr);
             view = &fetched;
           }
-          std::vector<uint8_t> raw = view->ToBytes();
-          // The "wah" codec's BS payloads carry the exact record count, not
-          // the byte-padded bit length, so FetchWah operands match N.
-          std::vector<uint8_t> payload =
-              wah_operands ? WahCodec::EncodeBits(*view) : codec.Compress(raw);
-          s = write_blob(BitmapFileName(prefix, c, j), raw,
-                         std::move(payload));
+          const std::string name = BitmapFileName(prefix, c, j);
+          if (wah_operands) {
+            // The "wah" codec's BS payloads carry the exact record count,
+            // not the byte-padded bit length, so FetchWah operands match N.
+            s = write_blob(name, (view->size() + 7) / 8,
+                           WahCodec::EncodeBits(*view));
+          } else {
+            std::vector<uint8_t> raw = view->ToBytes();
+            s = write_blob(name, raw.size(), codec.Compress(raw));
+          }
         }
       }
       break;
@@ -513,7 +548,8 @@ Status StoredIndex::WriteFromSource(const BitmapSource& source,
         uint32_t width =
             NumStoredBitmaps(source.encoding(), source.base().base(c));
         std::vector<uint8_t> raw = PackRowMajor(source, c, c, width);
-        s = write_blob(ComponentFileName(prefix, c), raw, codec.Compress(raw));
+        s = write_blob(ComponentFileName(prefix, c), raw.size(),
+                       codec.Compress(raw));
       }
       break;
     }
@@ -523,7 +559,7 @@ Status StoredIndex::WriteFromSource(const BitmapSource& source,
         width += NumStoredBitmaps(source.encoding(), source.base().base(c));
       }
       std::vector<uint8_t> raw = PackRowMajor(source, 0, n - 1, width);
-      s = write_blob(prefix + kIndexFileName, raw, codec.Compress(raw));
+      s = write_blob(prefix + kIndexFileName, raw.size(), codec.Compress(raw));
       break;
     }
   }
@@ -702,11 +738,8 @@ Status StoredIndex::LoadMeta(const std::filesystem::path& dir) {
 
   // Non-null bitmap (stored uncompressed; V2 blob or legacy V1).
   {
-    std::vector<uint8_t> bytes;
-    Status nn = ReadCheckedFile(prefix_ + kNonNullFile, &bytes);
-    if (!nn.ok()) return nn;
     format::CheckedBlob blob;
-    nn = format::DecodeBlobFile(bytes, prefix_ + kNonNullFile, &blob);
+    Status nn = ReadPayload(prefix_ + kNonNullFile, &blob);
     if (!nn.ok()) return nn;
     if (blob.payload.size() < (num_records_ + 7) / 8) {
       return Status::Corruption("non-null bitmap shorter than N bits");

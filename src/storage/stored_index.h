@@ -258,10 +258,21 @@ class StoredIndex {
   Status ReadCheckedFile(const std::string& name,
                          std::vector<uint8_t>* bytes) const;
 
-  /// ReadCheckedFile + V2 header/block verification + codec decode.
-  /// `stats`/`decompress_seconds` account payload bytes and inflate time.
+  /// ReadCheckedFile + V2 header/block verification.
+  Status ReadPayload(const std::string& name, format::CheckedBlob* blob) const;
+
+  /// ReadPayload + codec decode.  `stats`/`decompress_seconds` account
+  /// payload bytes and inflate time.
   Status ReadBlob(const std::string& name, std::vector<uint8_t>* raw,
                   EvalStats* stats, double* decompress_seconds) const;
+
+  /// Reads one BS bitmap file as an N-bit dense bitvector.  On columns that
+  /// store WAH operand payloads the payload inflates straight into `*out`
+  /// (WahCodec::DecodeToDense, no byte round trip); other codecs go through
+  /// ReadBlob + Bitvector::FromBytes.  Payload bytes accumulate into
+  /// `*payload_bytes` once the blob verifies, even if decoding then fails.
+  Status ReadBitmap(const std::string& name, Bitvector* out,
+                    int64_t* payload_bytes, double* decompress_seconds) const;
 
   /// Rebuilds equality slice E^slot from its siblings (see the .cc for the
   /// identity and its preconditions).  Sibling payload bytes accumulate

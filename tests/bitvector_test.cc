@@ -1,11 +1,13 @@
 #include "bitmap/bitvector.h"
 
+#include <bit>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bitmap/bitvector_kernels.h"
+#include "bitmap/popcount.h"
 
 namespace bix {
 namespace {
@@ -119,6 +121,65 @@ TEST(BitvectorTest, BytesRoundTrip) {
     Bitvector back = Bitvector::FromBytes(bytes, n);
     EXPECT_EQ(back, bv) << "n=" << n;
   }
+}
+
+// ToBytes/FromBytes are word copies; pin the byte image to the bit layout
+// (bit 8i + j is bit j of byte i) so the copy cannot drift from it.
+TEST(BitvectorTest, ByteImageMatchesBitLayoutAndRoundTrips) {
+  std::mt19937_64 rng(12);
+  for (size_t n : {0u, 1u, 7u, 8u, 63u, 64u, 65u, 1000u}) {
+    Bitvector bv(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng() & 1) bv.Set(i);
+    }
+    std::vector<uint8_t> bytes = bv.ToBytes();
+    ASSERT_EQ(bytes.size(), (n + 7) / 8) << "n=" << n;
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ((bytes[i / 8] >> (i % 8)) & 1, bv.Get(i) ? 1 : 0)
+          << "n=" << n << " bit=" << i;
+    }
+    if (n % 8 != 0) {
+      EXPECT_EQ(bytes.back() >> (n % 8), 0) << "n=" << n;  // padding clear
+    }
+    EXPECT_EQ(Bitvector::FromBytes(bytes, n), bv) << "n=" << n;
+  }
+}
+
+TEST(BitvectorTest, FromBytesClearsBitsPastNumBits) {
+  for (size_t n : {0u, 1u, 7u, 8u, 63u, 64u, 65u, 1000u}) {
+    // All-ones input, one byte longer than needed: only n bits survive.
+    std::vector<uint8_t> bytes((n + 7) / 8 + 1, 0xFF);
+    Bitvector bv = Bitvector::FromBytes(bytes, n);
+    EXPECT_EQ(bv.size(), n);
+    EXPECT_EQ(bv.Count(), n) << "n=" << n;
+    EXPECT_EQ(bv, Bitvector::Ones(n)) << "n=" << n;
+    EXPECT_EQ(bv.ToBytes(), Bitvector::Ones(n).ToBytes()) << "n=" << n;
+  }
+}
+
+TEST(PopcountTest, MatchesStdPopcountOnEdgeWords) {
+  std::vector<uint64_t> words = {0,
+                                 ~uint64_t{0},
+                                 0x7FFFFFFFu,  // a full 31-bit WAH literal
+                                 0x80000000u,
+                                 0xFFFFFFFFu,
+                                 0x5555555555555555ull,
+                                 0xAAAAAAAAAAAAAAAAull,
+                                 0x0101010101010101ull,
+                                 0x8000000000000001ull};
+  for (int b = 0; b < 64; ++b) {
+    words.push_back(uint64_t{1} << b);
+    words.push_back(~(uint64_t{1} << b));
+    words.push_back((uint64_t{1} << b) - 1);
+  }
+  std::mt19937_64 rng(13);
+  for (int i = 0; i < 1000; ++i) words.push_back(rng());
+  for (uint64_t w : words) {
+    EXPECT_EQ(Popcount64(w), static_cast<size_t>(std::popcount(w)))
+        << std::hex << w;
+  }
+  static_assert(Popcount64(~uint64_t{0}) == 64);
+  static_assert(Popcount64(0x7FFFFFFFu) == 31);
 }
 
 TEST(BitvectorTest, EqualityIncludesLength) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "bitmap/crc32c.h"
+#include "compress/wah_codec.h"
 #include "core/bitmap_index.h"
 #include "obs/metrics.h"
 #include "storage/env.h"
@@ -525,6 +526,129 @@ TEST(StorageV2Test, CorruptWahPayloadFallsBackAndFails) {
                                       nullptr, nullptr, &status, &exec);
   EXPECT_EQ(status.code(), Status::Code::kCorruption) << status.ToString();
   EXPECT_TRUE(result.empty());
+}
+
+// Rewrites one stored bitmap with a forged payload inside a well-formed V2
+// blob (valid block CRCs, the original raw_size) and updates the manifest
+// entry to match, so only the payload's own structure is wrong.
+void ForgeBitmapPayload(const std::filesystem::path& idx,
+                        const std::string& name,
+                        const std::vector<uint8_t>& payload) {
+  const Env& env = *Env::Default();
+  format::CheckedBlob blob;
+  ASSERT_TRUE(format::ReadBlobFile(env, idx / name, &blob).ok());
+  std::vector<uint8_t> image = format::EncodeBlobFile(payload, blob.raw_size);
+  ASSERT_TRUE(env.WriteFile(idx / name, image).ok());
+  format::Manifest manifest;
+  uint32_t generation = 0;
+  ASSERT_TRUE(format::ReadManifest(env, idx, &manifest, &generation).ok());
+  ASSERT_TRUE(manifest.count(name));
+  manifest[name] =
+      format::ManifestEntry{image.size(), Crc32c(image.data(), image.size())};
+  ASSERT_TRUE(format::WriteManifest(env, idx, manifest, generation).ok());
+}
+
+// Structurally invalid WAH payloads for an n-bit bitmap (n % 31 != 0),
+// each of which the one-pass dense decoder must refuse.
+std::vector<std::pair<std::string, std::vector<uint8_t>>> ForgedWahPayloads(
+    const Bitvector& bits) {
+  const size_t n = bits.size();
+  const WahBitvector wah = WahBitvector::FromBitvector(bits);
+  auto make = [&](uint64_t num_bits, const std::vector<uint32_t>& words) {
+    std::vector<uint8_t> out(8 + 4 * words.size());
+    std::memcpy(out.data(), &num_bits, 8);
+    if (!words.empty()) {
+      std::memcpy(out.data() + 8, words.data(), 4 * words.size());
+    }
+    return out;
+  };
+  std::vector<uint32_t> zero_count = wah.code_words();
+  zero_count.insert(zero_count.begin(), 0x80000000u);  // zeros fill, count 0
+  std::vector<uint32_t> overflow = wah.code_words();
+  overflow.push_back(0x1u);
+  std::vector<uint32_t> underflow = wah.code_words();
+  underflow.pop_back();
+  // Final group rebuilt from the dense bits: a literal with a bit past n
+  // set, and a ones-fill over the partial group.
+  std::vector<uint32_t> body =
+      WahBitvector::FromBitvector(
+          Bitvector::FromBytes(bits.ToBytes(), n - n % 31))
+          .code_words();
+  std::vector<uint32_t> tail_bit = body;
+  tail_bit.push_back(1u << 30);
+  std::vector<uint32_t> ones_tail = body;
+  ones_tail.push_back(0xC0000001u);
+  std::vector<uint8_t> ragged = make(n, wah.code_words());
+  ragged.pop_back();  // not a whole number of code words
+  return {{"fill count 0", make(n, zero_count)},
+          {"group overflow", make(n, overflow)},
+          {"group underflow", make(n, underflow)},
+          {"bit past N", make(n, tail_bit)},
+          {"trailing ones-fill", make(n, ones_tail)},
+          {"header N off by one", make(n - 1, wah.code_words())},
+          {"ragged length", ragged},
+          {"bare header", make(n, {})}};
+}
+
+// The dense fetch inflates stored WAH payloads itself (no Codec::
+// Decompress), so its refusals must still surface as typed Corruption —
+// or, for equality slices, as a degraded answer rebuilt from siblings.
+TEST(StorageV2Test, ForgedWahPayloadOnDenseFetchStaysTyped) {
+  const Codec* wah = CodecByName("wah");
+  const size_t n = 400;  // 400 % 31 == 28: a partial final group
+  for (Encoding encoding : {Encoding::kRange, Encoding::kEquality}) {
+    BitmapIndex index = MakeIndex(encoding, /*c=*/10, n);
+    const Bitvector stored_bits = index.Fetch(0, 4, nullptr);
+    auto forged = ForgedWahPayloads(stored_bits);
+    for (const auto& [what, payload] : forged) {
+      SCOPED_TRACE(std::string(encoding == Encoding::kRange ? "range "
+                                                            : "equality ") +
+                   what);
+      TempDir dir;
+      std::unique_ptr<StoredIndex> stored;
+      ASSERT_TRUE(StoredIndex::Write(index, dir.path() / "idx",
+                                     StorageScheme::kBitmapLevel, *wah,
+                                     &stored)
+                      .ok());
+      ForgeBitmapPayload(dir.path() / "idx", "c0_b4.bm", payload);
+      std::unique_ptr<StoredIndex> reopened;
+      ASSERT_TRUE(StoredIndex::Open(dir.path() / "idx", &reopened).ok());
+
+      int64_t degraded_before = CounterValue("storage.degraded_queries");
+      FetchedOperand op;
+      Status fetch = reopened->FetchBitmapOperand(0, 4, /*wah=*/false, &op);
+      FetchedOperand direct;
+      EXPECT_FALSE(
+          reopened->FetchBitmapOperand(0, 4, /*wah=*/true, &direct).ok());
+      for (EngineKind engine : {EngineKind::kPlain, EngineKind::kWah}) {
+        ExecOptions exec;
+        exec.engine = engine;
+        const CompareOp qop =
+            encoding == Encoding::kRange ? CompareOp::kLe : CompareOp::kEq;
+        Status status;
+        Bitvector got = reopened->Evaluate(EvalAlgorithm::kAuto, qop, 4,
+                                           nullptr, nullptr, &status, &exec);
+        if (encoding == Encoding::kRange) {
+          EXPECT_EQ(status.code(), Status::Code::kCorruption)
+              << status.ToString();
+          EXPECT_TRUE(got.empty());
+        } else {
+          EXPECT_TRUE(status.ok()) << status.ToString();
+          EXPECT_EQ(got, index.Evaluate(qop, 4));
+        }
+      }
+      if (encoding == Encoding::kRange) {
+        EXPECT_EQ(fetch.code(), Status::Code::kCorruption) << fetch.ToString();
+        EXPECT_FALSE(op.degraded);
+      } else {
+        ASSERT_TRUE(fetch.ok()) << fetch.ToString();
+        EXPECT_TRUE(op.degraded);
+        EXPECT_EQ(op.dense, stored_bits);
+        EXPECT_EQ(CounterValue("storage.degraded_queries"),
+                  degraded_before + 2);  // one per engine's query
+      }
+    }
+  }
 }
 
 }  // namespace

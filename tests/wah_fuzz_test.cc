@@ -5,9 +5,15 @@
 // checked against the dense reference, including the counting forms
 // (Count, AndCount, CountOrOfMany/CountAndOfMany) and the canonical-
 // encoding invariant (equal bit contents always have equal code words).
+// The decoder-parity battery feeds valid, truncated, bit-flipped and forged
+// storage payloads to the one-pass dense decoder and to the two-step
+// reference it replaced, which must agree on every one.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,6 +22,7 @@
 #include "bitmap/bitvector.h"
 #include "bitmap/wah_bitvector.h"
 #include "bitmap/wah_kernels.h"
+#include "compress/wah_codec.h"
 
 namespace bix {
 namespace {
@@ -214,6 +221,260 @@ TEST(WahFuzzTest, LongFillRunsStayExact) {
   const WahBitvector* ops[] = {&ones, &zeros, &ones};
   EXPECT_EQ(WahBitvector::CountOrOfMany(ops), kBig);
   EXPECT_EQ(WahBitvector::CountAndOfMany(ops), 0u);
+}
+
+// --- Decoder parity ---------------------------------------------------
+
+constexpr uint32_t kFill = 0x80000000u;
+constexpr uint32_t kOnes = 0x40000000u;
+
+// The two-step decode the one-pass kernel replaced, kept as the reference:
+// WahCodec::DecodeToWah (layout check + TryFromCodeWords validation, one
+// copy of the words), then the old ToBitvector inflate, which set ones-fill
+// ranges with word masks and ORed each literal into its straddled words.
+bool ReferenceDecode(std::span<const uint8_t> payload, Bitvector* out) {
+  WahBitvector wah;
+  if (!WahCodec::DecodeToWah(payload, &wah)) return false;
+  const size_t num_bits = wah.size();
+  Bitvector dense(num_bits);
+  std::span<uint64_t> words = dense.mutable_words();
+  auto set_range = [&](size_t lo, size_t hi) {
+    if (lo >= hi) return;
+    size_t wlo = lo >> 6;
+    size_t whi = (hi - 1) >> 6;
+    uint64_t first = ~uint64_t{0} << (lo & 63);
+    uint64_t last =
+        (hi & 63) != 0 ? ~uint64_t{0} >> (64 - (hi & 63)) : ~uint64_t{0};
+    if (wlo == whi) {
+      words[wlo] |= first & last;
+      return;
+    }
+    words[wlo] |= first;
+    for (size_t w = wlo + 1; w < whi; ++w) words[w] = ~uint64_t{0};
+    words[whi] |= last;
+  };
+  size_t bit = 0;
+  for (uint32_t word : wah.code_words()) {
+    if (word & kFill) {
+      size_t span = static_cast<size_t>(word & 0x3FFFFFFFu) * 31;
+      if (word & kOnes) set_range(bit, std::min(bit + span, num_bits));
+      bit += span;
+    } else {
+      size_t w = bit >> 6;
+      uint32_t off = static_cast<uint32_t>(bit & 63);
+      words[w] |= static_cast<uint64_t>(word) << off;
+      if (off > 64 - 31 && w + 1 < words.size()) {
+        words[w + 1] |= static_cast<uint64_t>(word) >> (64 - off);
+      }
+      bit += 31;
+    }
+  }
+  *out = std::move(dense);
+  return true;
+}
+
+std::vector<uint8_t> MakePayload(uint64_t num_bits,
+                                 const std::vector<uint32_t>& words) {
+  std::vector<uint8_t> out(8 + 4 * words.size());
+  std::memcpy(out.data(), &num_bits, 8);
+  if (!words.empty()) std::memcpy(out.data() + 8, words.data(), 4 * words.size());
+  return out;
+}
+
+struct ParityTally {
+  int accepted = 0;
+  int rejected = 0;
+};
+
+// The one-pass decoder (DecodeToDense, and Decompress built on it) must
+// accept exactly the payloads the reference accepts, with equal bits.
+// Returns whether the payload was accepted.
+bool ExpectParity(std::span<const uint8_t> payload, const std::string& ctx,
+                  ParityTally* tally) {
+  Bitvector want;
+  const bool want_ok = ReferenceDecode(payload, &want);
+  uint64_t header_bits = 0;
+  if (payload.size() >= 8) std::memcpy(&header_bits, payload.data(), 8);
+  Bitvector got;
+  const bool got_ok = WahCodec::DecodeToDense(
+      payload, static_cast<size_t>(header_bits), &got);
+  std::vector<uint8_t> bytes;
+  const bool bytes_ok = WahCodec().Decompress(payload, &bytes);
+  EXPECT_EQ(got_ok, want_ok) << ctx;
+  EXPECT_EQ(bytes_ok, want_ok) << ctx;
+  if (want_ok && got_ok && bytes_ok) {
+    EXPECT_TRUE(got == want) << ctx;
+    EXPECT_EQ(bytes, want.ToBytes()) << ctx;
+  }
+  ++(want_ok ? tally->accepted : tally->rejected);
+  return want_ok;
+}
+
+// Replaces the payload's final group (the last word, or the last group of
+// a final fill) with `group_word`.
+std::vector<uint32_t> WithFinalGroup(std::vector<uint32_t> words,
+                                     uint32_t group_word) {
+  uint32_t last = words.back();
+  if ((last & kFill) && (last & 0x3FFFFFFFu) > 1) {
+    --words.back();
+  } else {
+    words.pop_back();
+  }
+  words.push_back(group_word);
+  return words;
+}
+
+TEST(WahFuzzTest, OnePassDecoderMatchesReferenceOnValidAndMutatedPayloads) {
+  std::mt19937_64 rng(20261019);
+  std::vector<size_t> lengths(std::begin(kEdgeLengths), std::end(kEdgeLengths));
+  for (int i = 0; i < 24; ++i) lengths.push_back(1 + rng() % 700);
+  ParityTally valid, truncated, flipped;
+  for (size_t len : lengths) {
+    const Bitvector dense = BuildPattern(rng, len);
+    const std::vector<uint8_t> payload = WahCodec::EncodeBits(dense);
+    const std::string ctx = "len=" + std::to_string(len);
+    ASSERT_TRUE(ExpectParity(payload, ctx, &valid)) << ctx;
+    Bitvector got;
+    ASSERT_TRUE(WahCodec::DecodeToDense(payload, len, &got));
+    ASSERT_TRUE(got == dense) << ctx;
+    // Every truncation (only the full length decodes).
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+      ExpectParity(std::span(payload).first(cut),
+                   ctx + " cut=" + std::to_string(cut), &truncated);
+    }
+    // Every single-bit flip, header included.
+    for (size_t bit = 0; bit < payload.size() * 8; ++bit) {
+      std::vector<uint8_t> flip = payload;
+      flip[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      ExpectParity(flip, ctx + " flip=" + std::to_string(bit), &flipped);
+    }
+  }
+  EXPECT_EQ(valid.rejected, 0);
+  EXPECT_EQ(truncated.accepted, 0);
+  EXPECT_GT(flipped.accepted, 0);  // e.g. flips inside literal payloads
+  EXPECT_GT(flipped.rejected, 0);
+}
+
+TEST(WahFuzzTest, OnePassDecoderRejectsForgedWordsLikeReference) {
+  std::mt19937_64 rng(20261020);
+  std::vector<size_t> lengths(std::begin(kEdgeLengths), std::end(kEdgeLengths));
+  for (int i = 0; i < 24; ++i) lengths.push_back(1 + rng() % 700);
+  // Group ends that are 64-bit word ends (multiples of 31 * 64 = 1984) with
+  // N a few bits short: a trailing ones-fill there ends word-aligned.
+  for (size_t len : {1960u, 1983u, 1985u, 3947u, 3967u}) lengths.push_back(len);
+  ParityTally zero_count, tail_bits, ones_tail, group_count, random_word;
+  for (size_t len : lengths) {
+    if (len == 0) continue;
+    const Bitvector dense = BuildPattern(rng, len);
+    const WahBitvector wah = WahBitvector::FromBitvector(dense);
+    const std::vector<uint32_t>& words = wah.code_words();
+    const std::string ctx = "len=" + std::to_string(len);
+    const uint32_t tail = static_cast<uint32_t>(len % 31);
+
+    // A fill of count 0, in place of and in front of every word.
+    for (size_t i = 0; i <= words.size(); ++i) {
+      for (uint32_t value : {0u, kOnes}) {
+        std::vector<uint32_t> forged = words;
+        forged.insert(forged.begin() + static_cast<long>(i), kFill | value);
+        EXPECT_FALSE(ExpectParity(MakePayload(len, forged),
+                                  ctx + " zero-fill insert", &zero_count));
+        if (i < words.size()) {
+          forged = words;
+          forged[i] = kFill | value;
+          EXPECT_FALSE(ExpectParity(MakePayload(len, forged),
+                                    ctx + " zero-fill replace", &zero_count));
+        }
+      }
+    }
+
+    if (tail != 0) {
+      // Each bit past N in a final literal.
+      for (uint32_t b = tail; b < 31; ++b) {
+        uint32_t literal = (1u << b) | 1u;
+        EXPECT_FALSE(ExpectParity(MakePayload(len, WithFinalGroup(words, literal)),
+                                  ctx + " tail bit " + std::to_string(b),
+                                  &tail_bits));
+      }
+      // A trailing ones-fill over the partial final group, alone and as
+      // the whole stream.
+      EXPECT_FALSE(ExpectParity(
+          MakePayload(len, WithFinalGroup(words, kFill | kOnes | 1)),
+          ctx + " trailing ones-fill", &ones_tail));
+      EXPECT_FALSE(ExpectParity(
+          MakePayload(len, {kFill | kOnes |
+                            static_cast<uint32_t>((len + 30) / 31)}),
+          ctx + " all-ones fill", &ones_tail));
+    } else {
+      // Over a full final group the same ones-fills are valid.
+      EXPECT_TRUE(ExpectParity(
+          MakePayload(len, WithFinalGroup(words, kFill | kOnes | 1)),
+          ctx + " full trailing ones-fill", &ones_tail));
+      EXPECT_TRUE(ExpectParity(
+          MakePayload(len, {kFill | kOnes | static_cast<uint32_t>(len / 31)}),
+          ctx + " full all-ones fill", &ones_tail));
+    }
+
+    // Group overflow and underflow.
+    std::vector<uint32_t> forged = words;
+    forged.push_back(0x1u);
+    ExpectParity(MakePayload(len, forged), ctx + " extra literal", &group_count);
+    forged = words;
+    forged.push_back(kFill | 1);
+    ExpectParity(MakePayload(len, forged), ctx + " extra fill", &group_count);
+    forged = words;
+    forged.pop_back();
+    ExpectParity(MakePayload(len, forged), ctx + " dropped word", &group_count);
+    for (size_t i = 0; i < words.size(); ++i) {
+      if ((words[i] & kFill) == 0) continue;
+      for (int delta : {-1, 1}) {
+        forged = words;
+        forged[i] = static_cast<uint32_t>(forged[i] + delta);
+        ExpectParity(MakePayload(len, forged), ctx + " fill count moved",
+                     &group_count);
+      }
+    }
+    // Length headers one group off either way.
+    ExpectParity(MakePayload(len + 31, words), ctx + " N+31", &group_count);
+    if (len > 31) {
+      ExpectParity(MakePayload(len - 31, words), ctx + " N-31", &group_count);
+    }
+
+    // Arbitrary words anywhere.
+    for (int trial = 0; trial < 40 && !words.empty(); ++trial) {
+      forged = words;
+      forged[rng() % forged.size()] = static_cast<uint32_t>(rng());
+      ExpectParity(MakePayload(len, forged), ctx + " random word",
+                   &random_word);
+    }
+  }
+  EXPECT_EQ(zero_count.accepted, 0);
+  EXPECT_EQ(tail_bits.accepted, 0);
+  EXPECT_GT(tail_bits.rejected, 0);
+  EXPECT_GT(ones_tail.rejected, 0);
+  EXPECT_GT(ones_tail.accepted, 0);
+  EXPECT_EQ(group_count.accepted, 0);
+  EXPECT_GT(random_word.rejected, 0);
+}
+
+// A header claiming far more bits than the code words can hold is rejected
+// without allocating the claimed length.
+TEST(WahFuzzTest, OnePassDecoderRejectsHugeClaimedLengthCheaply) {
+  const std::vector<uint32_t> words = {kFill | kOnes | 3, 0x1234u};
+  for (uint64_t claimed : {uint64_t{1} << 40, uint64_t{1} << 62,
+                           ~uint64_t{0} - 5}) {
+    Bitvector got;
+    EXPECT_FALSE(WahCodec::DecodeToDense(MakePayload(claimed, words),
+                                         static_cast<size_t>(claimed), &got));
+    std::vector<uint8_t> bytes;
+    EXPECT_FALSE(WahCodec().Decompress(MakePayload(claimed, words), &bytes));
+  }
+  // The same words under their true length decode.
+  Bitvector got;
+  ASSERT_TRUE(WahCodec::DecodeToDense(MakePayload(4 * 31, words), 4 * 31, &got));
+  EXPECT_EQ(got.Count(), 3 * 31 + 5u);
+  // A header that disagrees with the expected length is refused.
+  EXPECT_FALSE(WahCodec::DecodeToDense(MakePayload(4 * 31, words), 4 * 31 - 1,
+                                       &got));
 }
 
 }  // namespace
