@@ -18,7 +18,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <random>
 #include <span>
 #include <string>
@@ -34,8 +37,10 @@
 #include "core/compressed_source.h"
 #include "core/eval.h"
 #include "core/row_order.h"
+#include "core/status.h"
 #include "exec/segmented_eval.h"
 #include "obs/metrics.h"
+#include "storage/stored_index.h"
 #include "workload/generators.h"
 
 using namespace bix;
@@ -212,6 +217,56 @@ double MeasureDecode(const BitmapIndex& index, int reps) {
       total_us += best_us;
     }
   }
+  return total_us;
+}
+
+// The dense fetch end to end on the storage read path: `index` written as
+// a BS index with the "wah" codec under a fresh temporary directory, then
+// every stored bitmap fetched through StoredIndex::FetchBitmapOperand
+// (read + manifest/header/block CRC verification + decode; hot page
+// cache).  Returns the sum over bitmaps of the fastest of `reps` fetches,
+// or -1 when a fetch fails or differs from the source bitmap.
+double MeasureFetch(const BitmapIndex& index, int reps) {
+  std::string tmpl =
+      (std::filesystem::temp_directory_path() / "bix_bench_fetch_XXXXXX")
+          .string();
+  if (mkdtemp(tmpl.data()) == nullptr) return -1;
+  const std::filesystem::path dir = tmpl;
+  double total_us = -1;
+  std::unique_ptr<StoredIndex> stored;
+  if (StoredIndex::Write(index, dir / "idx", StorageScheme::kBitmapLevel,
+                         WahCodec(), &stored)
+          .ok()) {
+    total_us = 0;
+    for (int comp = 0; comp < index.base().num_components() && total_us >= 0;
+         ++comp) {
+      const uint32_t stored_bitmaps =
+          NumStoredBitmaps(index.encoding(), index.base().base(comp));
+      for (uint32_t slot = 0; slot < stored_bitmaps; ++slot) {
+        const Bitvector want = index.Fetch(comp, slot, nullptr);
+        double best_us = 0;
+        for (int r = 0; r < reps; ++r) {
+          FetchedOperand op;
+          const auto start = std::chrono::steady_clock::now();
+          const Status s = stored->FetchBitmapOperand(comp, slot,
+                                                      /*wah=*/false, &op);
+          const double us = std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+          if (!s.ok() || op.degraded || !(op.dense == want)) {
+            total_us = -1;
+            break;
+          }
+          best_us = r == 0 ? us : std::min(best_us, us);
+        }
+        if (total_us < 0) break;
+        total_us += best_us;
+      }
+    }
+  }
+  stored.reset();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
   return total_us;
 }
 
@@ -429,15 +484,17 @@ int main(int argc, char** argv) {
   // sorted arms' crossing back to logical row ids (RemapToLogical), whose
   // output must equal the shuffled arm's foundset.  decode_us times the
   // dense fetch's one-pass inflate of every stored bitmap (MeasureDecode)
-  // on every arm: sorting shrinks the payloads, not the output.
+  // on every arm: sorting shrinks the payloads, not the output.  fetch_us
+  // times the whole stored dense fetch around it (MeasureFetch): read,
+  // checksum verification and decode.
   const size_t sort_rows = smoke ? 100000 : 1000000;
   std::printf("\nrow reordering: shuffled vs sorted builds, %zu rows, "
               "equality encoding, auto engine\n\n", sort_rows);
   std::printf("%-22s %-9s | %10s %7s | %10s %10s | %10s %9s | %10s | "
-              "%10s\n",
+              "%10s | %10s\n",
               "relation", "order", "wah KB", "ratio", "comp ops",
               "plain ops", "auto us/q", "cal ratio", "remap us/q",
-              "decode us");
+              "decode us", "fetch us");
 
   struct SortLane {
     const char* name;
@@ -527,13 +584,20 @@ int main(int argc, char** argv) {
                     arm.name);
         return 1;
       }
+      const double fetch_us = MeasureFetch(index, /*reps=*/20);
+      if (fetch_us < 0) {
+        std::printf("FAIL: stored dense fetch diverges on %s %s\n",
+                    lane.name, arm.name);
+        return 1;
+      }
       std::printf("%-22s %-9s | %10.1f %6.2fx | %10lld %10lld | %10.1f "
-                  "%9lld | %10.1f | %10.1f\n",
+                  "%9lld | %10.1f | %10.1f | %10.1f\n",
                   lane.name, arm.name,
                   static_cast<double>(wah_bytes) / 1024, ratio,
                   static_cast<long long>(compressed_ops),
                   static_cast<long long>(plain_ops), auto_us,
-                  static_cast<long long>(calibrated), remap_us, decode_us);
+                  static_cast<long long>(calibrated), remap_us, decode_us,
+                  fetch_us);
       const std::vector<bench::BenchParam> params = {
           {"relation", lane.name},
           {"order", arm.name},
@@ -553,6 +617,7 @@ int main(int argc, char** argv) {
         json.Add("wah_ablation_roworder", params, "remap_us", remap_us, "us");
       }
       json.Add("wah_ablation_roworder", params, "decode_us", decode_us, "us");
+      json.Add("wah_ablation_roworder", params, "fetch_us", fetch_us, "us");
     }
   }
 

@@ -72,12 +72,15 @@ if [[ "$RUN_CHAOS" == 1 ]]; then
   # (tests/fault_injection_test.cc) plus the storage/format/env/recovery
   # unit tests, built with ASan + UBSan — fault paths exercise error
   # handling and reconstruction code that rarely runs otherwise, exactly
-  # where lifetime bugs hide.
+  # where lifetime bugs hide.  The WAH fuzz suite rides along: the dense
+  # decode's literal-block stitch does pointer arithmetic over stored
+  # payloads, which are untrusted bytes.
   cmake -B build-asan -G Ninja \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake --build build-asan --target bix_tests bix_differential_tests
-  ./build-asan/tests/bix_differential_tests --gtest_filter='FaultInjection*'
+  ./build-asan/tests/bix_differential_tests \
+      --gtest_filter='FaultInjection*:WahFuzzTest*'
   ./build-asan/tests/bix_tests \
       --gtest_filter='StorageV2Test*:FormatTest*:PosixEnvTest*:FaultInjectingEnvTest*:RunWithRetryTest*:BackoffTest*:Crc32cTest*:StorageTest*'
 fi

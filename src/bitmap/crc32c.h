@@ -28,6 +28,19 @@ uint32_t Crc32c(const void* data, size_t n);
 /// and chaining over a split buffer equals the one-shot checksum.
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n);
 
+/// CRC32C of a concatenation from its parts' checksums:
+/// Crc32cCombine(Crc32c(a, na), Crc32c(b, nb), nb) == Crc32c(a ‖ b).
+/// Costs O(log len_b) carry-less multiplications mod P (zlib's
+/// crc32_combine scheme), independent of the bytes themselves.  Lengths
+/// are exact below 2^61 bytes.
+uint32_t Crc32cCombine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b);
+
+/// Three one-shot checksums of equal-length buffers in one pass:
+/// crcs[k] = Crc32c(data[k], n).  The hardware kernel interleaves the
+/// three independent CRC32 streams, hiding the instruction's 3-cycle
+/// latency that bounds a single stream.
+void Crc32cTriple(const uint8_t* const data[3], size_t n, uint32_t crcs[3]);
+
 namespace crc32c_internal {
 
 /// True when the SSE4.2 hardware kernel is in use on this CPU.
@@ -37,6 +50,11 @@ bool HardwareAvailable();
 /// length.  Both take and return the *inverted* running state.
 uint32_t PortableUpdate(uint32_t state, const uint8_t* data, size_t n);
 uint32_t HardwareUpdate(uint32_t state, const uint8_t* data, size_t n);
+
+/// Three-stream hardware kernel: updates each inverted `state[k]` with `n`
+/// bytes at `data[k]`, exactly as three HardwareUpdate calls would.
+void HardwareUpdate3(uint32_t state[3], const uint8_t* const data[3],
+                     size_t n);
 
 }  // namespace crc32c_internal
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "bitmap/popcount.h"
 #include "bitmap/wah_run_decoder.h"
@@ -86,12 +87,15 @@ WahBitvector WahBitvector::FromBitvector(const Bitvector& dense) {
   return out;
 }
 
-bool WahBitvector::TryFromCodeWords(std::span<const uint32_t> words,
+bool WahBitvector::TryFromCodeWords(std::span<const uint8_t> code,
                                     size_t num_bits, WahBitvector* out) {
+  if (code.size() % sizeof(uint32_t) != 0) return false;
+  const size_t num_words = code.size() / sizeof(uint32_t);
   const uint64_t want_groups = (num_bits + kGroupBits - 1) / kGroupBits;
   uint64_t groups = 0;
-  for (size_t i = 0; i < words.size(); ++i) {
-    uint32_t word = words[i];
+  uint32_t word = 0;
+  for (size_t i = 0; i < num_words; ++i) {
+    std::memcpy(&word, code.data() + i * sizeof(uint32_t), sizeof(word));
     if (IsFill(word)) {
       if (FillCount(word) == 0) return false;
       groups += FillCount(word);
@@ -109,16 +113,72 @@ bool WahBitvector::TryFromCodeWords(std::span<const uint32_t> words,
   if (groups != want_groups) return false;
   // A trailing ones-fill over a partial final group would assert bits past
   // num_bits; reject it (the canonical encoder never emits one uncleared).
-  if (num_bits % kGroupBits != 0 && !words.empty() && IsFill(words.back()) &&
-      FillValue(words.back())) {
+  if (num_bits % kGroupBits != 0 && num_words != 0 && IsFill(word) &&
+      FillValue(word)) {
     return false;
   }
   out->num_bits_ = num_bits;
-  out->words_.assign(words.begin(), words.end());
+  out->words_.resize(num_words);
+  if (num_words != 0) {
+    std::memcpy(out->words_.data(), code.data(), code.size());
+  }
   return true;
 }
 
 namespace wah_internal {
+
+namespace {
+
+// The literal-block stitch.  64 consecutive literal code words carry
+// 64 * 31 = 1984 = 31 * 64 payload bits: exactly 31 output words.  Pair m
+// of the block (code words 2m and 2m+1, 62 payload bits) lands at block
+// bit 62m, so every shift that assembles the block is a compile-time
+// constant and no step waits on the previous one's fill level.
+constexpr size_t kBlockCodeWords = 64;
+constexpr size_t kBlockOutWords = 31;
+constexpr uint64_t kPairFillBits = 0x8000000080000000ull;
+// Literals a run must already hold before a block is probed for.
+constexpr size_t kProbeAfter = 16;
+
+// Two literal code words as one 62-bit run (low word first).
+inline uint64_t LiteralPair(uint64_t two) {
+  return (two & 0x7fffffffull) | ((two >> 1) & 0x3fffffff80000000ull);
+}
+
+template <size_t M>
+inline void StitchBlockPair(const uint8_t* code, uint64_t* block) {
+  constexpr unsigned kBit = 62 * M;
+  constexpr unsigned kWord = kBit / 64;
+  constexpr unsigned kOff = kBit % 64;
+  uint64_t two;
+  std::memcpy(&two, code + 8 * M, sizeof(two));
+  const uint64_t pair = LiteralPair(two);
+  block[kWord] |= pair << kOff;
+  // kOff is even; at 0 or 2 the pair's 62 bits end inside the word.
+  if constexpr (kOff > 2) block[kWord + 1] |= pair >> (64 - kOff);
+}
+
+template <size_t... M>
+inline void AssembleLiteralBlock(const uint8_t* code, uint64_t* block,
+                                 std::index_sequence<M...>) {
+  (StitchBlockPair<M>(code, block), ...);
+}
+
+// Index of the first fill among the 64 code words from `i`, or i + 64
+// when all are literals.  Stops at the fill, so a probe costs no more
+// than the words the caller consumes before it may probe again.
+size_t FirstFillInBlock(const uint8_t* code, size_t i) {
+  for (size_t j = i; j < i + kBlockCodeWords; j += 2) {
+    uint64_t two;
+    std::memcpy(&two, code + j * sizeof(uint32_t), sizeof(two));
+    if ((two & kPairFillBits) != 0) {
+      return (two & kFillFlag) != 0 ? j : j + 1;
+    }
+  }
+  return i + kBlockCodeWords;
+}
+
+}  // namespace
 
 template <bool kIsOr>
 bool FoldCodeWords(std::span<uint64_t> words, const uint8_t* code,
@@ -144,6 +204,14 @@ bool FoldCodeWords(std::span<uint64_t> words, const uint8_t* code,
   size_t w = 0;       // output word the buffer starts in
   uint64_t buf = 0;   // pending stream bits [64w, 64w + n)
   unsigned n = 0;
+
+  auto merge = [&](uint64_t& word, uint64_t bits) {
+    if (kIsOr) {
+      word |= bits;
+    } else {
+      word &= bits;
+    }
+  };
   auto flush = [&](uint64_t full) {
     if (w >= edge) {
       if ((full & past_end(w)) != 0) clean = false;
@@ -152,24 +220,52 @@ bool FoldCodeWords(std::span<uint64_t> words, const uint8_t* code,
         return;
       }
     }
-    if (kIsOr) {
-      words[w] |= full;
-    } else {
-      words[w] &= full;
-    }
+    merge(words[w], full);
     ++w;
   };
   size_t i = 0;
+  // Literal-block fast path: on incompressible inputs literals come in runs
+  // far longer than 64, so stitch 64 of them into 31 words at once and
+  // merge those at the buffer's offset n, for as many whole blocks as the
+  // run holds.  Only while the block's words stay below `edge`: the checked
+  // flushes are never bypassed.  The pair path probes once its literal run
+  // is kProbeAfter words long (`probe_at`), and a probe that meets a fill
+  // is not retried before that fill, so fill-heavy streams pay no probes
+  // and no word is scanned twice.
+  size_t probe_at = kProbeAfter;
+  auto stitch_blocks = [&] {
+    while (num_words - i >= kBlockCodeWords && w + kBlockOutWords <= edge) {
+      const size_t fill = FirstFillInBlock(code, i);
+      if (fill != i + kBlockCodeWords) {
+        probe_at = fill + 1;
+        return;
+      }
+      uint64_t block[kBlockOutWords] = {};
+      AssembleLiteralBlock(code + i * sizeof(uint32_t), block,
+                           std::make_index_sequence<kBlockCodeWords / 2>());
+      if (n == 0) {  // buf is empty too
+        for (size_t j = 0; j < kBlockOutWords; ++j) {
+          merge(words[w + j], block[j]);
+        }
+      } else {
+        merge(words[w], buf | (block[0] << n));
+        for (size_t j = 1; j < kBlockOutWords; ++j) {
+          merge(words[w + j], (block[j] << n) | (block[j - 1] >> (64 - n)));
+        }
+        buf = block[kBlockOutWords - 1] >> (64 - n);
+      }
+      w += kBlockOutWords;
+      i += kBlockCodeWords;
+    }
+  };
   while (i < num_words) {
-    // Literal-pair fast path: on low-compressibility inputs literals come
-    // in long runs, so load two code words at once (one 64-bit load, one
-    // fill test) and stitch their 62 payload bits together.
+    // Literal-pair fast path: load two code words at once (one 64-bit
+    // load, one fill test) and stitch their 62 payload bits together.
     if (i + 1 < num_words) {
       uint64_t two;
       std::memcpy(&two, code + i * sizeof(uint32_t), sizeof(two));
-      if ((two & 0x8000000080000000ull) == 0) {
-        const uint64_t pair = (two & 0x7fffffffull) |
-                              ((two >> 1) & 0x3fffffff80000000ull);
+      if ((two & kPairFillBits) == 0) {
+        const uint64_t pair = LiteralPair(two);
         buf |= pair << n;
         n += 2 * kGroupBits;
         if (n >= 64) {
@@ -178,6 +274,7 @@ bool FoldCodeWords(std::span<uint64_t> words, const uint8_t* code,
           buf = n == 0 ? 0 : pair >> (2 * kGroupBits - n);
         }
         i += 2;
+        if (i >= probe_at) stitch_blocks();
         continue;
       }
     }
@@ -194,6 +291,7 @@ bool FoldCodeWords(std::span<uint64_t> words, const uint8_t* code,
       }
       continue;
     }
+    probe_at = i + kProbeAfter;
     const bool v = FillValue(cw);
     const uint64_t groups = FillCount(cw);
     uint64_t span = groups * kGroupBits;

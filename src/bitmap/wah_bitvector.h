@@ -32,21 +32,22 @@ class WahBitvector {
   /// Compresses a dense bitvector.
   static WahBitvector FromBitvector(const Bitvector& dense);
 
-  /// Rebuilds a vector from serialized code words (the storage layer's
-  /// "wah" codec hands stored bitmaps to the compressed-domain engine
-  /// without inflating them).  Structurally validates the stream — every
-  /// word well-formed, fill counts non-zero, total groups matching
-  /// `num_bits`, no set bits past `num_bits` — and returns false on
-  /// malformed input, leaving `*out` untouched.
-  static bool TryFromCodeWords(std::span<const uint32_t> words,
-                               size_t num_bits, WahBitvector* out);
+  /// Rebuilds a vector from serialized code words (little-endian u32s, as
+  /// the "wah" storage codec lays them out; the storage layer hands stored
+  /// bitmaps to the compressed-domain engine without inflating them).
+  /// Structurally validates the stream — a byte count that is a multiple
+  /// of 4, every word well-formed, fill counts non-zero, total groups
+  /// matching `num_bits`, no set bits past `num_bits` — and returns false
+  /// on malformed input, leaving `*out` untouched.  The words are copied
+  /// once, straight from `code` into the vector.
+  static bool TryFromCodeWords(std::span<const uint8_t> code, size_t num_bits,
+                               WahBitvector* out);
 
   /// Inflates serialized code words (little-endian u32s, as the "wah"
   /// storage codec lays them out) straight into a dense bitvector in one
   /// validating pass — the decode kernel ToBitvector, WahCodec::Decompress
   /// and the storage layer's dense fetch share.  Rejects exactly what
-  /// TryFromCodeWords rejects (and a byte count not a multiple of 4);
-  /// false leaves `*out` untouched.
+  /// TryFromCodeWords rejects; false leaves `*out` untouched.
   static bool InflateCodeWords(std::span<const uint8_t> code, size_t num_bits,
                                Bitvector* out);
 

@@ -40,12 +40,8 @@ bool WahCodec::DecodeToWah(std::span<const uint8_t> payload,
                            WahBitvector* out) {
   uint64_t num_bits = 0;
   if (!ReadHeader(payload, &num_bits)) return false;
-  std::vector<uint32_t> words((payload.size() - kHeaderBytes) / 4);
-  if (!words.empty()) {
-    std::memcpy(words.data(), payload.data() + kHeaderBytes, words.size() * 4);
-  }
-  return WahBitvector::TryFromCodeWords(words, static_cast<size_t>(num_bits),
-                                        out);
+  return WahBitvector::TryFromCodeWords(payload.subspan(kHeaderBytes),
+                                        static_cast<size_t>(num_bits), out);
 }
 
 bool WahCodec::DecodeToDense(std::span<const uint8_t> payload, size_t num_bits,

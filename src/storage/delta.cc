@@ -524,11 +524,11 @@ Status MutableStoredIndex::Open(const std::filesystem::path& dir,
     format::CheckedBlob blob;
     s = format::ReadBlobFile(*m->env_, tomb_path, &blob);
     if (!s.ok()) return s;
-    if (blob.payload.size() < (blob.raw_size + 7) / 8) {
+    if (blob.payload().size() < (blob.raw_size() + 7) / 8) {
       return Status::Corruption("tombstone bitmap shorter than its bit count");
     }
     tombstones = Bitvector::FromBytes(
-        blob.payload, static_cast<size_t>(blob.raw_size));
+        blob.payload(), static_cast<size_t>(blob.raw_size()));
   }
   // The tombstone blob may predate the latest appends (rows appended after
   // the last delete); size it to the current total.  It can never name

@@ -51,10 +51,49 @@ uint32_t NumBlocks(uint64_t payload_size, uint32_t block_size) {
   return static_cast<uint32_t>((payload_size + block_size - 1) / block_size);
 }
 
+// Visits the CRC32C of each `block_size` block of `payload` (the last may
+// be short) in block order as visit(block, crc, len).  Triples of full
+// blocks share one three-stream pass (Crc32cTriple).
+template <typename Visit>
+void ForEachBlockCrc(const uint8_t* payload, uint64_t payload_size,
+                     uint32_t block_size, uint32_t num_blocks, Visit visit) {
+  uint32_t b = 0;
+  for (; b + 3 <= num_blocks &&
+         (uint64_t{b} + 3) * block_size <= payload_size;
+       b += 3) {
+    const uint8_t* data[3];
+    for (uint32_t k = 0; k < 3; ++k) {
+      data[k] = payload + static_cast<size_t>(b + k) * block_size;
+    }
+    uint32_t crcs[3];
+    Crc32cTriple(data, block_size, crcs);
+    for (uint32_t k = 0; k < 3; ++k) visit(b + k, crcs[k], block_size);
+  }
+  for (; b < num_blocks; ++b) {
+    const size_t begin = static_cast<size_t>(b) * block_size;
+    const size_t len = std::min<size_t>(block_size, payload_size - begin);
+    visit(b, Crc32c(payload + begin, len), len);
+  }
+}
+
+// Whole-file CRC of a V2 image from its parts: the CRC of the header bytes
+// before header_crc, the 4 stored header_crc bytes, and the payload CRC.
+uint32_t WholeFileCrc(uint32_t header_body_crc, const uint8_t* header_crc_bytes,
+                      uint32_t payload_crc, uint64_t payload_size) {
+  return Crc32cCombine(Crc32cExtend(header_body_crc, header_crc_bytes, 4),
+                       payload_crc, payload_size);
+}
+
+Status ManifestMismatch(const std::string& name) {
+  recovery_internal::CountChecksumFailure();
+  return Status::Corruption("checksum differs from manifest: " + name);
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeBlobFile(std::span<const uint8_t> payload,
-                                    uint64_t raw_size, uint32_t block_size) {
+                                    uint64_t raw_size, uint32_t block_size,
+                                    uint32_t* file_crc) {
   if (block_size == 0) block_size = kDefaultBlockSize;
   const uint32_t num_blocks =
       NumBlocks(payload.size(), block_size);
@@ -65,68 +104,88 @@ std::vector<uint8_t> EncodeBlobFile(std::span<const uint8_t> payload,
   Put64(&out, payload.size());
   Put32(&out, block_size);
   Put32(&out, num_blocks);
-  for (uint32_t b = 0; b < num_blocks; ++b) {
-    size_t begin = static_cast<size_t>(b) * block_size;
-    size_t len = std::min<size_t>(block_size, payload.size() - begin);
-    Put32(&out, Crc32c(payload.data() + begin, len));
+  uint32_t payload_crc = 0;
+  ForEachBlockCrc(payload.data(), payload.size(), block_size, num_blocks,
+                  [&](uint32_t, uint32_t crc, size_t len) {
+                    Put32(&out, crc);
+                    payload_crc = Crc32cCombine(payload_crc, crc, len);
+                  });
+  const uint32_t header_crc = Crc32c(out.data(), out.size());
+  Put32(&out, header_crc);
+  if (file_crc != nullptr) {
+    *file_crc = WholeFileCrc(header_crc, out.data() + out.size() - 4,
+                             payload_crc, payload.size());
   }
-  Put32(&out, Crc32c(out.data(), out.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
-Status DecodeBlobFile(std::span<const uint8_t> file_bytes,
-                      const std::string& name, CheckedBlob* out) {
-  if (file_bytes.size() >= 4 &&
-      std::memcmp(file_bytes.data(), kMagicV1, 4) == 0) {
-    // Legacy pre-checksum format: magic + raw_size + payload.
-    if (file_bytes.size() < 12) {
-      return Status::Corruption("short v1 file: " + name);
-    }
-    out->raw_size = Get64(file_bytes.data() + 4);
-    out->payload.assign(file_bytes.begin() + 12, file_bytes.end());
-    out->verified = false;
-    return Status::OK();
-  }
-  if (file_bytes.size() < 32 ||
-      std::memcmp(file_bytes.data(), kMagicV2, 4) != 0) {
-    return Status::Corruption("bad magic: " + name);
-  }
-  const uint64_t raw_size = Get64(file_bytes.data() + 4);
-  const uint64_t payload_size = Get64(file_bytes.data() + 12);
-  const uint32_t block_size = Get32(file_bytes.data() + 20);
-  const uint32_t num_blocks = Get32(file_bytes.data() + 24);
+Status DecodeBlobFile(std::vector<uint8_t> file_bytes, const std::string& name,
+                      CheckedBlob* out, std::optional<uint32_t> manifest_crc) {
+  const uint8_t* bytes = file_bytes.data();
+  const size_t size = file_bytes.size();
+  const bool v2 = size >= 32 && std::memcmp(bytes, kMagicV2, 4) == 0;
+  const uint64_t payload_size = v2 ? Get64(bytes + 12) : 0;
+  const uint32_t block_size = v2 ? Get32(bytes + 20) : 0;
+  const uint32_t num_blocks = v2 ? Get32(bytes + 24) : 0;
   const size_t header_size = 32 + 4 * static_cast<size_t>(num_blocks);
-  if (block_size == 0 || num_blocks != NumBlocks(payload_size, block_size) ||
-      file_bytes.size() < header_size ||
-      file_bytes.size() - header_size != payload_size) {
+  const bool parsable = v2 && block_size != 0 &&
+                        num_blocks == NumBlocks(payload_size, block_size) &&
+                        size >= header_size &&
+                        size - header_size == payload_size;
+  if (!parsable) {
+    // No block structure to reuse: the manifest check takes its own pass.
+    if (manifest_crc.has_value() && Crc32c(bytes, size) != *manifest_crc) {
+      return ManifestMismatch(name);
+    }
+    if (size >= 4 && std::memcmp(bytes, kMagicV1, 4) == 0) {
+      // Legacy pre-checksum format: magic + raw_size + payload.
+      if (size < 12) {
+        return Status::Corruption("short v1 file: " + name);
+      }
+      out->raw_size_ = Get64(bytes + 4);
+      out->payload_offset_ = 12;
+      out->verified_ = false;
+      out->image_ = std::move(file_bytes);
+      return Status::OK();
+    }
+    if (!v2) return Status::Corruption("bad magic: " + name);
     recovery_internal::CountChecksumFailure();
     return Status::Corruption("inconsistent header (truncated?): " + name);
   }
-  const uint32_t header_crc = Get32(file_bytes.data() + header_size - 4);
-  if (Crc32c(file_bytes.data(), header_size - 4) != header_crc) {
+  // One pass over the image: the header CRC, then every block CRC (three
+  // at a time), each compared against its stored value and combined into
+  // the whole-file CRC the manifest records.
+  const uint32_t header_body_crc = Crc32c(bytes, header_size - 4);
+  const uint8_t* payload = bytes + header_size;
+  uint32_t payload_crc = 0;
+  std::string bad_blocks;
+  ForEachBlockCrc(payload, payload_size, block_size, num_blocks,
+                  [&](uint32_t b, uint32_t crc, size_t len) {
+                    if (crc != Get32(bytes + 28 + 4 * static_cast<size_t>(b))) {
+                      if (!bad_blocks.empty()) bad_blocks += ",";
+                      bad_blocks += std::to_string(b);
+                    }
+                    payload_crc = Crc32cCombine(payload_crc, crc, len);
+                  });
+  if (manifest_crc.has_value() &&
+      WholeFileCrc(header_body_crc, bytes + header_size - 4, payload_crc,
+                   payload_size) != *manifest_crc) {
+    return ManifestMismatch(name);
+  }
+  if (header_body_crc != Get32(bytes + header_size - 4)) {
     recovery_internal::CountChecksumFailure();
     return Status::Corruption("header checksum mismatch: " + name);
-  }
-  const uint8_t* payload = file_bytes.data() + header_size;
-  std::string bad_blocks;
-  for (uint32_t b = 0; b < num_blocks; ++b) {
-    size_t begin = static_cast<size_t>(b) * block_size;
-    size_t len = std::min<size_t>(block_size, payload_size - begin);
-    uint32_t want = Get32(file_bytes.data() + 28 + 4 * static_cast<size_t>(b));
-    if (Crc32c(payload + begin, len) != want) {
-      if (!bad_blocks.empty()) bad_blocks += ",";
-      bad_blocks += std::to_string(b);
-    }
   }
   if (!bad_blocks.empty()) {
     recovery_internal::CountChecksumFailure();
     return Status::Corruption("block checksum mismatch (block " + bad_blocks +
                               "): " + name);
   }
-  out->raw_size = raw_size;
-  out->payload.assign(payload, payload + payload_size);
-  out->verified = true;
+  out->raw_size_ = Get64(bytes + 4);
+  out->payload_offset_ = header_size;
+  out->verified_ = true;
+  out->image_ = std::move(file_bytes);
   return Status::OK();
 }
 
@@ -135,7 +194,7 @@ Status ReadBlobFile(const Env& env, const std::filesystem::path& path,
   std::vector<uint8_t> bytes;
   Status s = env.ReadFileBytes(path, &bytes);
   if (!s.ok()) return s;
-  return DecodeBlobFile(bytes, path.filename().string(), out);
+  return DecodeBlobFile(std::move(bytes), path.filename().string(), out);
 }
 
 std::vector<uint8_t> EncodeRowOrderPayload(std::span<const uint32_t> perm) {
@@ -312,14 +371,14 @@ Status ScrubIndexDir(const Env& env, const std::filesystem::path& dir,
         check.detail = rs.ToString();
       } else if (blob) {
         CheckedBlob blob_data;
-        rs = DecodeBlobFile(bytes, name, &blob_data);
+        rs = DecodeBlobFile(std::move(bytes), name, &blob_data);
         if (!rs.ok()) {
           check.state = FileCheck::State::kCorrupt;
           check.detail = std::string(rs.message());
         } else {
-          check.state = blob_data.verified ? FileCheck::State::kOk
+          check.state = blob_data.verified() ? FileCheck::State::kOk
                                            : FileCheck::State::kUnverified;
-          if (!blob_data.verified) check.detail = "v1 format, no checksums";
+          if (!blob_data.verified()) check.detail = "v1 format, no checksums";
         }
       } else {
         check.state = FileCheck::State::kUnverified;
@@ -360,7 +419,7 @@ Status ScrubIndexDir(const Env& env, const std::filesystem::path& dir,
       // Per-block CRCs localize the damage for blob files.
       if (name.ends_with(".bm")) {
         CheckedBlob blob;
-        Status bs = DecodeBlobFile(bytes, name, &blob);
+        Status bs = DecodeBlobFile(std::move(bytes), name, &blob);
         if (!bs.ok()) check.detail = std::string(bs.message());
       } else {
         recovery_internal::CountChecksumFailure();
@@ -371,8 +430,8 @@ Status ScrubIndexDir(const Env& env, const std::filesystem::path& dir,
       // and the entries-form-a-permutation check.
       CheckedBlob blob;
       std::vector<uint32_t> perm;
-      Status ps = DecodeBlobFile(bytes, name, &blob);
-      if (ps.ok()) ps = DecodeRowOrderPayload(blob.payload, name, &perm);
+      Status ps = DecodeBlobFile(std::move(bytes), name, &blob);
+      if (ps.ok()) ps = DecodeRowOrderPayload(blob.payload(), name, &perm);
       if (!ps.ok()) {
         check.state = FileCheck::State::kCorrupt;
         check.detail = std::string(ps.message());
@@ -426,7 +485,7 @@ Status ScrubIndexDir(const Env& env, const std::filesystem::path& dir,
         check.detail = rs.ToString();
       } else if (is_tomb) {
         CheckedBlob blob;
-        rs = DecodeBlobFile(bytes, name, &blob);
+        rs = DecodeBlobFile(std::move(bytes), name, &blob);
         if (!rs.ok()) {
           check.state = FileCheck::State::kCorrupt;
           check.detail = std::string(rs.message());

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -64,24 +65,61 @@ inline constexpr const char* kManifestFile = "index.manifest";
 inline constexpr const char* kRowOrderFile = "roworder.perm";
 inline constexpr uint32_t kRowOrderVersion = 1;
 
-/// A decoded blob file: the still-codec-compressed payload plus the
-/// recorded raw size.  `verified` is false for V1 files (no checksums).
-struct CheckedBlob {
-  std::vector<uint8_t> payload;
-  uint64_t raw_size = 0;
-  bool verified = false;
-};
+class CheckedBlob;
 
-/// Serializes payload + checksummed header into one file image.
+/// Serializes payload + checksummed header into one file image.  The block
+/// CRCs are computed three blocks at a time; when `file_crc` is non-null it
+/// receives the image's whole-file CRC32C (what the manifest records),
+/// combined from the header and block CRCs instead of a second pass.
 std::vector<uint8_t> EncodeBlobFile(std::span<const uint8_t> payload,
                                     uint64_t raw_size,
-                                    uint32_t block_size = kDefaultBlockSize);
+                                    uint32_t block_size = kDefaultBlockSize,
+                                    uint32_t* file_crc = nullptr);
 
 /// Parses a V2 or V1 file image, verifying header and per-block CRCs for
-/// V2.  On a checksum mismatch returns Corruption naming the bad block(s)
-/// and bumps storage.checksum_failures.
-Status DecodeBlobFile(std::span<const uint8_t> file_bytes,
-                      const std::string& name, CheckedBlob* out);
+/// V2, and takes ownership of the image: `out` exposes the payload as a
+/// view into it, so no byte is copied.  On a checksum mismatch returns
+/// Corruption naming the bad block(s) and bumps storage.checksum_failures.
+///
+/// With `manifest_crc`, the image's whole-file CRC is also compared against
+/// it, first: a mismatch is "checksum differs from manifest: <name>" ahead
+/// of any header or block error, counted once.  A parsable V2 image gets
+/// that CRC from the same single pass that checks its header and blocks
+/// (Crc32cCombine over them); any other image falls back to a one-shot CRC.
+Status DecodeBlobFile(std::vector<uint8_t> file_bytes, const std::string& name,
+                      CheckedBlob* out,
+                      std::optional<uint32_t> manifest_crc = std::nullopt);
+
+/// A decoded blob file: the verified file image and, as a view into it, the
+/// still-codec-compressed payload plus the recorded raw size.  Move-only,
+/// so the view cannot outlive or be duplicated apart from its image; it
+/// stays valid across moves (the image's heap buffer moves with it) and
+/// ends when the blob is destroyed or assigned over.
+class CheckedBlob {
+ public:
+  CheckedBlob() = default;
+  CheckedBlob(CheckedBlob&&) noexcept = default;
+  CheckedBlob& operator=(CheckedBlob&&) noexcept = default;
+  CheckedBlob(const CheckedBlob&) = delete;
+  CheckedBlob& operator=(const CheckedBlob&) = delete;
+
+  std::span<const uint8_t> payload() const {
+    return std::span<const uint8_t>(image_).subspan(payload_offset_);
+  }
+  uint64_t raw_size() const { return raw_size_; }
+  /// False for V1 files (no checksums).
+  bool verified() const { return verified_; }
+
+ private:
+  friend Status DecodeBlobFile(std::vector<uint8_t> file_bytes,
+                               const std::string& name, CheckedBlob* out,
+                               std::optional<uint32_t> manifest_crc);
+
+  std::vector<uint8_t> image_;
+  size_t payload_offset_ = 0;
+  uint64_t raw_size_ = 0;
+  bool verified_ = false;
+};
 
 /// Reads and decodes `path` through `env` (one whole-file read).
 Status ReadBlobFile(const Env& env, const std::filesystem::path& path,

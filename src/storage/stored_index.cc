@@ -53,11 +53,12 @@ bool UsesWahOperandPayloads(StorageScheme scheme, const Codec& codec) {
 Status WriteBlobFile(const Env& env, const std::filesystem::path& dir,
                      const std::string& name, std::span<const uint8_t> payload,
                      uint64_t raw_size, format::Manifest* manifest) {
-  std::vector<uint8_t> image = format::EncodeBlobFile(payload, raw_size);
+  uint32_t crc = 0;
+  std::vector<uint8_t> image = format::EncodeBlobFile(
+      payload, raw_size, format::kDefaultBlockSize, &crc);
   Status s = env.WriteFile(dir / name, image);
   if (!s.ok()) return s;
-  (*manifest)[name] =
-      format::ManifestEntry{image.size(), Crc32c(image.data(), image.size())};
+  (*manifest)[name] = format::ManifestEntry{image.size(), crc};
   return Status::OK();
 }
 
@@ -118,12 +119,14 @@ std::string_view ToString(StorageScheme scheme) {
   return "?";
 }
 
-Status StoredIndex::ReadCheckedFile(const std::string& name,
-                                    std::vector<uint8_t>* bytes) const {
+Status StoredIndex::ReadListedFile(const std::string& name,
+                                   std::vector<uint8_t>* bytes,
+                                   std::optional<uint32_t>* crc) const {
   Status s = RunWithRetry(retry_, name, [&] {
     return env_->ReadFileBytes(dir_ / name, bytes);
   });
   if (!s.ok()) return s;
+  crc->reset();
   if (!verified_) return Status::OK();
   auto it = manifest_.find(name);
   if (it == manifest_.end()) {
@@ -133,7 +136,16 @@ Status StoredIndex::ReadCheckedFile(const std::string& name,
     recovery_internal::CountChecksumFailure();
     return Status::Corruption("size differs from manifest: " + name);
   }
-  if (Crc32c(bytes->data(), bytes->size()) != it->second.crc) {
+  *crc = it->second.crc;
+  return Status::OK();
+}
+
+Status StoredIndex::ReadCheckedFile(const std::string& name,
+                                    std::vector<uint8_t>* bytes) const {
+  std::optional<uint32_t> crc;
+  Status s = ReadListedFile(name, bytes, &crc);
+  if (!s.ok()) return s;
+  if (crc.has_value() && Crc32c(bytes->data(), bytes->size()) != *crc) {
     recovery_internal::CountChecksumFailure();
     return Status::Corruption("checksum differs from manifest: " + name);
   }
@@ -143,9 +155,12 @@ Status StoredIndex::ReadCheckedFile(const std::string& name,
 Status StoredIndex::ReadPayload(const std::string& name,
                                 format::CheckedBlob* blob) const {
   std::vector<uint8_t> bytes;
-  Status s = ReadCheckedFile(name, &bytes);
+  std::optional<uint32_t> crc;
+  Status s = ReadListedFile(name, &bytes, &crc);
   if (!s.ok()) return s;
-  return format::DecodeBlobFile(bytes, name, blob);
+  // The whole-file CRC comparison rides on the blob's own single
+  // verification pass (format::DecodeBlobFile).
+  return format::DecodeBlobFile(std::move(bytes), name, blob, crc);
 }
 
 Status StoredIndex::ReadBlob(const std::string& name, std::vector<uint8_t>* raw,
@@ -155,10 +170,10 @@ Status StoredIndex::ReadBlob(const std::string& name, std::vector<uint8_t>* raw,
   Status s = ReadPayload(name, &blob);
   if (!s.ok()) return s;
   if (stats != nullptr) {
-    stats->bytes_read += static_cast<int64_t>(blob.payload.size());
+    stats->bytes_read += static_cast<int64_t>(blob.payload().size());
   }
   auto start = std::chrono::steady_clock::now();
-  if (!codec_->Decompress(blob.payload, raw)) {
+  if (!codec_->Decompress(blob.payload(), raw)) {
     return Status::Corruption("decode failed: " + name);
   }
   if (decompress_seconds != nullptr) {
@@ -166,7 +181,7 @@ Status StoredIndex::ReadBlob(const std::string& name, std::vector<uint8_t>* raw,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
   }
-  if (raw->size() != blob.raw_size) {
+  if (raw->size() != blob.raw_size()) {
     return Status::Corruption("size mismatch: " + name);
   }
   return Status::OK();
@@ -191,13 +206,13 @@ Status StoredIndex::ReadBitmap(const std::string& name, Bitvector* out,
   format::CheckedBlob blob;
   Status s = ReadPayload(name, &blob);
   if (!s.ok()) return s;
-  *payload_bytes += static_cast<int64_t>(blob.payload.size());
+  *payload_bytes += static_cast<int64_t>(blob.payload().size());
   // The writer records raw_size as the byte image of the N-bit bitmap.
-  if (blob.raw_size != num_bytes) {
+  if (blob.raw_size() != num_bytes) {
     return Status::Corruption("size mismatch: " + name);
   }
   auto start = std::chrono::steady_clock::now();
-  if (!WahCodec::DecodeToDense(blob.payload, num_records_, out)) {
+  if (!WahCodec::DecodeToDense(blob.payload(), num_records_, out)) {
     return Status::Corruption("decode failed: " + name);
   }
   if (decompress_seconds != nullptr) {
@@ -256,11 +271,11 @@ Status StoredIndex::FetchBitmapOperand(int component, uint32_t slot,
     format::CheckedBlob blob;
     Status s = ReadPayload(name, &blob);
     if (!s.ok()) return s;
-    if (!WahCodec::DecodeToWah(blob.payload, &out->wah) ||
+    if (!WahCodec::DecodeToWah(blob.payload(), &out->wah) ||
         out->wah.size() != num_records_) {
       return Status::Corruption("wah payload does not decode: " + name);
     }
-    out->payload_bytes = static_cast<int64_t>(blob.payload.size());
+    out->payload_bytes = static_cast<int64_t>(blob.payload().size());
     static obs::Counter& direct = obs::MetricsRegistry::Global().GetCounter(
         "storage.wah_direct_fetches");
     direct.Increment();
@@ -741,10 +756,10 @@ Status StoredIndex::LoadMeta(const std::filesystem::path& dir) {
     format::CheckedBlob blob;
     Status nn = ReadPayload(prefix_ + kNonNullFile, &blob);
     if (!nn.ok()) return nn;
-    if (blob.payload.size() < (num_records_ + 7) / 8) {
+    if (blob.payload().size() < (num_records_ + 7) / 8) {
       return Status::Corruption("non-null bitmap shorter than N bits");
     }
-    non_null_ = Bitvector::FromBytes(blob.payload, num_records_);
+    non_null_ = Bitvector::FromBytes(blob.payload(), num_records_);
   }
 
   // Row-order sidecar: the metadata's "roworder" key promises it exists —
@@ -753,18 +768,15 @@ Status StoredIndex::LoadMeta(const std::filesystem::path& dir) {
   row_order_.clear();
   if (row_order_kind_ != RowOrder::kNone) {
     const std::string name = prefix_ + format::kRowOrderFile;
-    std::vector<uint8_t> bytes;
-    Status ro = ReadCheckedFile(name, &bytes);
+    format::CheckedBlob blob;
+    Status ro = ReadPayload(name, &blob);
     if (!ro.ok()) {
       if (!env_->FileExists(dir / name)) {
         return Status::Corruption("row-order sidecar missing: " + name);
       }
       return ro;
     }
-    format::CheckedBlob blob;
-    ro = format::DecodeBlobFile(bytes, name, &blob);
-    if (!ro.ok()) return ro;
-    ro = format::DecodeRowOrderPayload(blob.payload, name, &row_order_);
+    ro = format::DecodeRowOrderPayload(blob.payload(), name, &row_order_);
     if (!ro.ok()) return ro;
     if (row_order_.size() != num_records_) {
       return Status::Corruption(

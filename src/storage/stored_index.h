@@ -32,6 +32,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -233,7 +234,7 @@ class StoredIndex {
   ///    compressed-domain engine; kNotFound when the column does not store
   ///    wah operand payloads, and the read/verify/parse failure otherwise
   ///    — callers fall back to the dense kind, which re-reads with full
-  ///    recovery.  No reconstruction, no retry beyond ReadCheckedFile's.
+  ///    recovery.  No reconstruction, no retry beyond ReadListedFile's.
   /// Thread-safe: reads only immutable open-time state and the (thread-
   /// safe) Env.
   Status FetchBitmapOperand(int component, uint32_t slot, bool wah,
@@ -254,11 +255,19 @@ class StoredIndex {
   Status LoadMeta(const std::filesystem::path& dir);
 
   /// Reads one index file with retry and (when a manifest is present)
-  /// whole-file size + CRC verification against it.
+  /// checks that the manifest lists it at this size; `*crc` receives the
+  /// listed whole-file CRC (nullopt without a manifest) for the caller to
+  /// compare.
+  Status ReadListedFile(const std::string& name, std::vector<uint8_t>* bytes,
+                        std::optional<uint32_t>* crc) const;
+
+  /// ReadListedFile + the whole-file CRC comparison, as its own pass (for
+  /// files that are not blobs, like the metadata).
   Status ReadCheckedFile(const std::string& name,
                          std::vector<uint8_t>* bytes) const;
 
-  /// ReadCheckedFile + V2 header/block verification.
+  /// ReadListedFile + V2 header/block verification, with the whole-file
+  /// CRC comparison folded into the blob's single checksum pass.
   Status ReadPayload(const std::string& name, format::CheckedBlob* blob) const;
 
   /// ReadPayload + codec decode.  `stats`/`decompress_seconds` account

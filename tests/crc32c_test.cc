@@ -3,6 +3,7 @@
 
 #include "bitmap/crc32c.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -80,6 +81,75 @@ TEST(Crc32cTest, SensitiveToEveryBit) {
       EXPECT_NE(Crc32c(buf.data(), buf.size()), base)
           << "byte=" << byte << " bit=" << bit;
       buf[byte] ^= static_cast<uint8_t>(1 << bit);
+    }
+  }
+}
+
+std::vector<uint8_t> PseudoRandomBytes(size_t n, uint64_t seed) {
+  std::vector<uint8_t> buf(n);
+  uint64_t x = seed;
+  for (uint8_t& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<uint8_t>(x >> 24);
+  }
+  return buf;
+}
+
+TEST(Crc32cTest, CombineEqualsOneShotAtEverySplit) {
+  const std::vector<uint8_t> buf =
+      PseudoRandomBytes(9000, 0x2545F4914F6CDD1Dull);
+  // The full 9000 bytes at every split point, and shorter prefixes (block
+  // sizes and their neighbours) at every seventh.
+  for (size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{4096},
+                     size_t{4097}, size_t{9000}}) {
+    const uint32_t whole = Crc32c(buf.data(), len);
+    for (size_t split = 0; split <= len; ++split) {
+      if (len != 9000 && split % 7 != 0 && split != len) continue;
+      const uint32_t a = Crc32c(buf.data(), split);
+      const uint32_t b = Crc32c(buf.data() + split, len - split);
+      ASSERT_EQ(Crc32cCombine(a, b, len - split), whole)
+          << "len=" << len << " split=" << split;
+    }
+  }
+  // Combining many blocks left to right, as a blob file's verifier does.
+  uint32_t acc = 0;
+  for (size_t begin = 0; begin < buf.size(); begin += 4096) {
+    const size_t n = std::min<size_t>(4096, buf.size() - begin);
+    acc = Crc32cCombine(acc, Crc32c(buf.data() + begin, n), n);
+  }
+  EXPECT_EQ(acc, Crc32c(buf.data(), buf.size()));
+  // An empty second part leaves the first checksum as it is.
+  EXPECT_EQ(Crc32cCombine(0x12345678u, 0, 0), 0x12345678u);
+}
+
+TEST(Crc32cTest, TripleKernelEqualsPortableAtEveryLengthAndAlignment) {
+  const std::vector<uint8_t> buf = PseudoRandomBytes(3 * 256 + 64, 77);
+  for (size_t len = 0; len <= 200; ++len) {
+    for (size_t align = 0; align < 8; ++align) {
+      // Three streams at three different alignments.
+      const uint8_t* data[3] = {buf.data() + align,
+                                buf.data() + 256 + (align + 3) % 8,
+                                buf.data() + 512 + (align + 5) % 8};
+      uint32_t crcs[3];
+      Crc32cTriple(data, len, crcs);
+      uint32_t state[3] = {~0u, ~0u, ~0u};
+      if (crc32c_internal::HardwareAvailable()) {
+        crc32c_internal::HardwareUpdate3(state, data, len);
+      } else {
+        for (int k = 0; k < 3; ++k) {
+          state[k] = crc32c_internal::PortableUpdate(~0u, data[k], len);
+        }
+      }
+      for (int k = 0; k < 3; ++k) {
+        const uint32_t want =
+            crc32c_internal::PortableUpdate(~0u, data[k], len);
+        ASSERT_EQ(state[k], want)
+            << "len=" << len << " align=" << align << " stream=" << k;
+        ASSERT_EQ(crcs[k], ~want)
+            << "len=" << len << " align=" << align << " stream=" << k;
+      }
     }
   }
 }

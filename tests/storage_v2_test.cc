@@ -3,6 +3,7 @@
 // against transient errors, sibling reconstruction, and the direct
 // stored-WAH fetch path.
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -97,9 +98,9 @@ TEST(FormatTest, BlobFileRoundTripsAcrossBlockBoundaries) {
     format::CheckedBlob blob;
     ASSERT_TRUE(format::DecodeBlobFile(image, "t", &blob).ok())
         << payload_size;
-    EXPECT_EQ(blob.payload, payload);
-    EXPECT_EQ(blob.raw_size, 12345u);
-    EXPECT_TRUE(blob.verified);
+    EXPECT_TRUE(std::ranges::equal(blob.payload(), payload));
+    EXPECT_EQ(blob.raw_size(), 12345u);
+    EXPECT_TRUE(blob.verified());
   }
 }
 
@@ -143,9 +144,111 @@ TEST(FormatTest, V1FilesDecodeUnverified) {
   image.insert(image.end(), {0xAA, 0xBB, 0xCC});
   format::CheckedBlob blob;
   ASSERT_TRUE(format::DecodeBlobFile(image, "t", &blob).ok());
-  EXPECT_FALSE(blob.verified);
-  EXPECT_EQ(blob.raw_size, 3u);
-  EXPECT_EQ(blob.payload, (std::vector<uint8_t>{0xAA, 0xBB, 0xCC}));
+  EXPECT_FALSE(blob.verified());
+  EXPECT_EQ(blob.raw_size(), 3u);
+  EXPECT_TRUE(std::ranges::equal(blob.payload(),
+                                 std::vector<uint8_t>{0xAA, 0xBB, 0xCC}));
+}
+
+// Whole-file CRC32C of the pinned image below, as the serial encoder wrote
+// it before block CRCs were computed three at a time.
+constexpr uint32_t kPinnedImageCrc = 0x503AAC8Bu;
+
+// The V2 encoder as it was first written: one serial CRC per block, the
+// header CRC, then the payload.  The three-stream encoder must produce the
+// same bytes, so files stay readable and manifests unchanged.
+std::vector<uint8_t> SerialEncodeBlobFile(std::span<const uint8_t> payload,
+                                          uint64_t raw_size,
+                                          uint32_t block_size) {
+  auto put = [](std::vector<uint8_t>* out, const void* v, size_t n) {
+    const uint8_t* p = static_cast<const uint8_t*>(v);
+    out->insert(out->end(), p, p + n);
+  };
+  const uint64_t size = payload.size();
+  const uint32_t num_blocks =
+      static_cast<uint32_t>((size + block_size - 1) / block_size);
+  std::vector<uint8_t> out = {'B', 'I', 'X', '2'};
+  put(&out, &raw_size, 8);
+  put(&out, &size, 8);
+  put(&out, &block_size, 4);
+  put(&out, &num_blocks, 4);
+  for (uint64_t begin = 0; begin < size; begin += block_size) {
+    const uint32_t crc = Crc32c(payload.data() + begin,
+                                std::min<uint64_t>(block_size, size - begin));
+    put(&out, &crc, 4);
+  }
+  const uint32_t header_crc = Crc32c(out.data(), out.size());
+  put(&out, &header_crc, 4);
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+TEST(FormatTest, EncodedImagesAreByteIdenticalToTheSerialEncoder) {
+  for (uint32_t block_size : {1u, 7u, 512u, 4096u}) {
+    for (size_t payload_size :
+         {size_t{0}, size_t{1}, size_t{4095}, size_t{4096}, size_t{4097},
+          size_t{3 * 4096}, size_t{3 * 4096 + 17}, size_t{7 * 4096 + 5}}) {
+      std::vector<uint8_t> payload(payload_size);
+      for (size_t i = 0; i < payload_size; ++i) {
+        payload[i] = static_cast<uint8_t>((i * 2654435761u) >> 13);
+      }
+      uint32_t file_crc = 0;
+      const std::vector<uint8_t> image =
+          format::EncodeBlobFile(payload, 99, block_size, &file_crc);
+      ASSERT_EQ(image, SerialEncodeBlobFile(payload, 99, block_size))
+          << "block_size=" << block_size << " payload=" << payload_size;
+      // The combined whole-file CRC is the one-shot CRC of the image.
+      ASSERT_EQ(file_crc, Crc32c(image.data(), image.size()))
+          << "block_size=" << block_size << " payload=" << payload_size;
+    }
+  }
+  // A pinned image: 10000 bytes of i * 7 at the default block size.
+  std::vector<uint8_t> payload(10000);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 7);
+  }
+  const std::vector<uint8_t> image = format::EncodeBlobFile(payload, 80000);
+  EXPECT_EQ(image.size(), 10000u + 32 + 3 * 4);
+  EXPECT_EQ(Crc32c(image.data(), image.size()), kPinnedImageCrc);
+}
+
+TEST(FormatTest, ManifestCrcIsComparedFirstInTheSinglePass) {
+  std::vector<uint8_t> payload(3 * 4096 + 100, 0x5A);
+  uint32_t crc = 0;
+  const std::vector<uint8_t> image =
+      format::EncodeBlobFile(payload, payload.size(), 4096, &crc);
+  format::CheckedBlob blob;
+  ASSERT_TRUE(format::DecodeBlobFile(image, "f.bm", &blob, crc).ok());
+  EXPECT_EQ(blob.payload().size(), payload.size());
+  // A stale manifest CRC on an intact image.
+  Status s = format::DecodeBlobFile(image, "f.bm", &blob, crc ^ 1);
+  EXPECT_NE(s.ToString().find("checksum differs from manifest: f.bm"),
+            std::string::npos)
+      << s.ToString();
+  // A flipped payload byte under the original manifest CRC: the manifest
+  // mismatch wins over the block mismatch, counted once.
+  std::vector<uint8_t> bad = image;
+  bad[32 + 4 * 4 + 2 * 4096 + 9] ^= 0x10;
+  const int64_t before = CounterValue("storage.checksum_failures");
+  s = format::DecodeBlobFile(bad, "f.bm", &blob, crc);
+  EXPECT_NE(s.ToString().find("checksum differs from manifest"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(CounterValue("storage.checksum_failures"), before + 1);
+  // Without a manifest the same image names its block.
+  s = format::DecodeBlobFile(bad, "f.bm", &blob);
+  EXPECT_NE(s.ToString().find("block 2"), std::string::npos) << s.ToString();
+  // An image whose header does not parse is checked by a one-shot CRC,
+  // still ahead of its own error.
+  std::vector<uint8_t> cut(image.begin(), image.end() - 1);
+  s = format::DecodeBlobFile(cut, "f.bm", &blob, crc);
+  EXPECT_NE(s.ToString().find("checksum differs from manifest"),
+            std::string::npos)
+      << s.ToString();
+  s = format::DecodeBlobFile(cut, "f.bm", &blob,
+                             Crc32c(cut.data(), cut.size()));
+  EXPECT_NE(s.ToString().find("inconsistent header"), std::string::npos)
+      << s.ToString();
 }
 
 TEST(FormatTest, ManifestRoundTripAndSelfChecksum) {
@@ -234,6 +337,100 @@ TEST(StorageV2Test, FlippedPayloadByteFailsTheQueryLoudly) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// Points the manifest entry of `name` at the file's current bytes, as a
+// forger who also rewrote the manifest would.
+void RelistInManifest(const std::filesystem::path& idx,
+                      const std::string& name) {
+  const Env& env = *Env::Default();
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(env.ReadFileBytes(idx / name, &bytes).ok());
+  format::Manifest manifest;
+  uint32_t generation = 0;
+  ASSERT_TRUE(format::ReadManifest(env, idx, &manifest, &generation).ok());
+  manifest[name] =
+      format::ManifestEntry{bytes.size(), Crc32c(bytes.data(), bytes.size())};
+  ASSERT_TRUE(format::WriteManifest(env, idx, manifest, generation).ok());
+}
+
+// Every verified BS fetch makes each comparison the format promises —
+// manifest size and CRC, header CRC, every block CRC — in that order of
+// precedence, with one storage.checksum_failures bump per failed fetch.
+TEST(StorageV2Test, FetchReportsEachChecksumFailureOnceInPrecedenceOrder) {
+  // 100k records: each range bitmap is 12.5 KB raw, four 4 KiB blocks.
+  BitmapIndex index = MakeIndex(Encoding::kRange, 10, 100000);
+  const NullCodec none;
+  TempDir dir;
+  const std::filesystem::path idx = dir.path() / "idx";
+  std::unique_ptr<StoredIndex> stored;
+  ASSERT_TRUE(StoredIndex::Write(index, idx, StorageScheme::kBitmapLevel,
+                                 none, &stored)
+                  .ok());
+  auto fetch = [&](uint32_t slot, int64_t* failures) {
+    std::unique_ptr<StoredIndex> opened;
+    Status s = StoredIndex::Open(idx, &opened);
+    if (!s.ok()) return s;
+    const int64_t before = CounterValue("storage.checksum_failures");
+    FetchedOperand op;
+    s = opened->FetchBitmapOperand(0, slot, /*wah=*/false, &op);
+    *failures = CounterValue("storage.checksum_failures") - before;
+    return s;
+  };
+  const size_t header = 32 + 4 * 4;
+  int64_t failures = 0;
+
+  // Intact fetches verify and decode.
+  ASSERT_TRUE(fetch(5, &failures).ok());
+  EXPECT_EQ(failures, 0);
+
+  // A flipped payload byte in block 2: the manifest check reports it.
+  FlipByteOnDisk(idx / "c0_b5.bm", header + 2 * 4096 + 77);
+  Status s = fetch(5, &failures);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption);
+  EXPECT_NE(s.ToString().find("checksum differs from manifest: c0_b5.bm"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(failures, 1);
+
+  // The same rot under a manifest rewritten to match: the block CRC names
+  // the block.
+  RelistInManifest(idx, "c0_b5.bm");
+  s = fetch(5, &failures);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption);
+  EXPECT_NE(s.ToString().find("block checksum mismatch (block 2)"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(failures, 1);
+
+  // A forged block CRC entry under a rewritten manifest: the header CRC.
+  FlipByteOnDisk(idx / "c0_b4.bm", 28 + 4 * 1);
+  RelistInManifest(idx, "c0_b4.bm");
+  s = fetch(4, &failures);
+  EXPECT_NE(s.ToString().find("header checksum mismatch"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(failures, 1);
+
+  // A truncated file: a size mismatch, then, under a manifest rewritten to
+  // the cut size, the inconsistent header.  Typed errors either way.
+  std::filesystem::resize_file(idx / "c0_b3.bm",
+                               FileSize(idx / "c0_b3.bm") - 5);
+  s = fetch(3, &failures);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption);
+  EXPECT_NE(s.ToString().find("size differs from manifest"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(failures, 1);
+  RelistInManifest(idx, "c0_b3.bm");
+  s = fetch(3, &failures);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption);
+  EXPECT_NE(s.ToString().find("inconsistent header"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(failures, 1);
+
+  // Untouched bitmaps still verify and equal the source.
+  FetchedOperand op;
+  ASSERT_TRUE(stored->FetchBitmapOperand(0, 2, false, &op).ok());
+  EXPECT_EQ(op.dense, index.Fetch(0, 2, nullptr));
 }
 
 TEST(StorageV2Test, ManifestWriteIsAtomicUnderCrash) {
@@ -537,7 +734,7 @@ void ForgeBitmapPayload(const std::filesystem::path& idx,
   const Env& env = *Env::Default();
   format::CheckedBlob blob;
   ASSERT_TRUE(format::ReadBlobFile(env, idx / name, &blob).ok());
-  std::vector<uint8_t> image = format::EncodeBlobFile(payload, blob.raw_size);
+  std::vector<uint8_t> image = format::EncodeBlobFile(payload, blob.raw_size());
   ASSERT_TRUE(env.WriteFile(idx / name, image).ok());
   format::Manifest manifest;
   uint32_t generation = 0;
